@@ -1,8 +1,8 @@
 """One validated reader for every ``REPRO_*`` environment knob.
 
-The knobs accumulated across subsystems (packet-count override, event
-scheduler backend, RNG sampling path, buffer-pool debug mode, guest
-mode default), each with its own parsing and its own failure behavior
+The knobs accumulated across subsystems (packet-count override,
+buffer-pool debug mode, guest mode default, result cache, snapshot
+boot reuse), each with its own parsing and its own failure behavior
 -- a typo in one silently fell back to the default while a typo in
 another raised.  This module is the single source of truth: every knob
 is declared here with its accepted values, every reader validates, and
@@ -18,13 +18,6 @@ Knobs
 ``REPRO_PACKETS``
     Positive integer: packets per payload size / load point, overriding
     artifact defaults (the paper used 50000).
-``REPRO_SIM_SCHEDULER``
-    ``calendar`` (default) or ``heap``: the event-queue backend.  Both
-    pop in the same total order, so results never change.
-``REPRO_SIM_SCALAR_RNG``
-    Flag: force the legacy per-draw scalar sampling path instead of
-    block sampling (same draw sequence, slower; a determinism
-    cross-check).
 ``REPRO_BUFPOOL_DEBUG``
     Flag: enable buffer-pool ownership poisoning and double-free
     checks.
@@ -63,8 +56,6 @@ class EnvError(ValueError):
 #: map is what :func:`check_environment` sweeps).
 KNOWN_KNOBS = {
     "REPRO_PACKETS": "a positive integer",
-    "REPRO_SIM_SCHEDULER": "'calendar' or 'heap'",
-    "REPRO_SIM_SCALAR_RNG": "'1' or '0'",
     "REPRO_BUFPOOL_DEBUG": "'1' or '0'",
     "REPRO_GUEST_MODE": "'bare', 'trapped', or 'vhost'",
     "REPRO_CACHE": "'1' or '0'",
@@ -115,16 +106,6 @@ def packets(fallback: Optional[int] = None) -> Optional[int]:
     return count
 
 
-def scheduler() -> str:
-    """``REPRO_SIM_SCHEDULER``, defaulting to ``calendar``."""
-    return _choice("REPRO_SIM_SCHEDULER", ("calendar", "heap")) or "calendar"
-
-
-def scalar_rng() -> bool:
-    """``REPRO_SIM_SCALAR_RNG``: force per-draw scalar sampling."""
-    return _flag("REPRO_SIM_SCALAR_RNG")
-
-
 def bufpool_debug() -> bool:
     """``REPRO_BUFPOOL_DEBUG``: buffer-pool ownership checking."""
     return _flag("REPRO_BUFPOOL_DEBUG")
@@ -170,8 +151,6 @@ def check_environment() -> None:
     """Validate every set knob at once (CLI startup hook): one clear
     error up front instead of a late failure deep inside a worker."""
     packets()
-    scheduler()
-    scalar_rng()
     bufpool_debug()
     guest_mode()
     result_cache()

@@ -275,9 +275,8 @@ def bench_scheduler(
 
     Boots a VirtIO testbed (the denser of the two drivers' event
     streams), runs the Table 1 ping-pong workload, and reports the
-    queue backend's counters -- peak depth, calendar bucket occupancy,
-    slow-path push rates -- plus wall-normalized schedule/pop rates.
-    The structural numbers (peak depth, far-heap pushes) are
+    event queue's counters (``Simulator.scheduler_stats``) plus
+    wall-normalized schedule/pop rates.  The counters are
     deterministic; only the rates are machine-dependent.
     """
     from repro.core.latency import run_virtio_payload
@@ -484,11 +483,7 @@ def render_bench(record: dict) -> str:
         sched = micro.get("scheduler")
         if sched:
             lines.append(
-                f"    scheduler   {sched.get('scheduler', '?')}: "
-                f"peak depth {sched.get('peak_depth', 0)}, "
-                f"{sched.get('nonempty_buckets', 0)}/{sched.get('nbuckets', 0)} "
-                f"buckets live (occupancy {sched.get('occupancy', 0.0):.1f}), "
-                f"far pushes {sched.get('far_pushes', 0)}, "
+                f"    scheduler   peak depth {sched.get('peak_depth', 0)}, "
                 f"{sched.get('schedules_per_second', 0.0):,.0f} sched/s | "
                 f"{sched.get('pops_per_second', 0.0):,.0f} pops/s"
             )

@@ -4,11 +4,11 @@ Every artifact decomposes into cells that are pure functions of their
 parameters (``docs/architecture.md``, "Parallel execution"), which
 makes their results *content-addressable*: a cell's outcome is fully
 determined by its kind, its canonicalized spec (every ``Cell`` field,
-including the spawn-key-derived seed), and the source code of the
-modules its execution reads.  The cache keys on exactly that triple,
-so a warm rerun of an unchanged tree returns every cell from disk --
-and any change to a relevant input (a spec field, the root seed, a
-module the kind executes) changes the key and forces a fresh run.
+including the spawn-key-derived seed), and the source code it runs.
+The cache keys on exactly that triple, so a warm rerun of an unchanged
+tree returns every cell from disk -- and any change to an input (a
+spec field, the root seed, a module a cell may execute) changes the
+key and forces a fresh run.
 
 Key derivation
 --------------
@@ -19,12 +19,14 @@ Key derivation
   kept exact via JSON's shortest-repr round trip, nested dataclasses
   such as the calibration profile / fault plan / overload config /
   fleet config expanded field-by-field with their type names);
-* ``code`` is the kind's *code fingerprint*: a hash over the per-module
-  source hashes of the ``repro`` modules that kind reads, per the
-  :data:`KIND_MODULES` manifest.  Per-module hashing means a change to
-  ``repro/guest`` does not invalidate latency cells, and a docs-only
-  or CLI-only change invalidates nothing (``cli.py``, ``bench.py``,
-  and this module are in no manifest entry).
+* ``code`` is the *code fingerprint*: one hash over the path and
+  source of every ``repro/**/*.py`` file except the three in
+  :data:`EXCLUDED_MODULES` (``cli.py``, ``exec/bench.py`` and this
+  module), which choose what runs and where results go but compute
+  no cell.  There is no per-kind list to keep in step with the call
+  graph, so no edit to model code can leave a key stale; the price is
+  that any such edit invalidates every entry.  Docs-only and CLI-only
+  changes invalidate nothing.
 
 The cell seed already encodes the experiment's root seed and the
 cell's spawn-key identity (:func:`repro.exec.cells.seed_identity`), so
@@ -49,7 +51,7 @@ import os
 import pickle
 import tempfile
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 #: Default on-disk location (relative to the working directory) when
 #: neither ``--cache-dir`` nor ``REPRO_CACHE_DIR`` names one.
@@ -59,68 +61,29 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: entries then read as corrupt, i.e. as misses).
 _MAGIC = b"RPC1"
 
-#: ``repro`` source prefixes every cell kind executes: the simulator
-#: kernel, the device/driver/host model, the topology builder all cells
-#: boot through, and the execution engine itself.  Paths are relative
-#: to the ``repro`` package, ``/``-separated; a bare name covers the
-#: whole subpackage.
-COMMON_MODULES: Tuple[str, ...] = (
-    "core",
-    "drivers",
-    "env.py",
-    "fpga",
-    "host",
-    "mem",
-    "pcie",
-    "sim",
-    "stats",
-    "topology",
-    "virtio",
-    "exec/cells.py",
-    "exec/runner.py",
-    "exec/snapshot.py",
-)
-
-#: Kind -> additional source prefixes that kind's measurement reads.
-#: The manifest is deliberately over-inclusive (extra entries cost
-#: spurious invalidation, missing ones would cost staleness).
-KIND_MODULES: Dict[str, Tuple[str, ...]] = {
-    "latency": (),
-    "calibrate": ("workload",),
-    "openload": ("workload",),
-    "closedload": ("workload",),
-    "faultlat": ("faults",),
-    "overload": ("workload", "health", "faults"),
-    "soak": ("workload", "health", "faults"),
-    "fleet": ("workload", "health"),
-    "guest": ("guest",),
-}
-
-
-class CacheError(RuntimeError):
-    """The cache was asked something it cannot answer (unknown kind)."""
+#: ``repro`` sources outside the code fingerprint, relative to the
+#: package and ``/``-separated: they decide which cells run and where
+#: results go, never what a cell computes.
+EXCLUDED_MODULES: Tuple[str, ...] = ("cli.py", "exec/bench.py", "exec/cache.py")
 
 
 # -- code fingerprints ---------------------------------------------------------
 
 
-def _package_root() -> str:
-    return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_FINGERPRINT: Optional[str] = None
 
 
-_MODULE_HASHES: Optional[Dict[str, str]] = None
-
-
-def module_hashes() -> Mapping[str, str]:
-    """``repro``-relative path -> sha256 of that source file.
+def code_fingerprint() -> str:
+    """sha256 over the path and source of every ``repro`` module outside
+    :data:`EXCLUDED_MODULES`.
 
     Computed once per process; the tree is assumed stable for the
     process lifetime (the same assumption imports make).
     """
-    global _MODULE_HASHES
-    if _MODULE_HASHES is None:
-        root = _package_root()
-        hashes: Dict[str, str] = {}
+    global _FINGERPRINT
+    if _FINGERPRINT is None:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        hasher = hashlib.sha256()
         for dirpath, dirnames, filenames in os.walk(root):
             dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
             for filename in sorted(filenames):
@@ -128,41 +91,14 @@ def module_hashes() -> Mapping[str, str]:
                     continue
                 path = os.path.join(dirpath, filename)
                 rel = os.path.relpath(path, root).replace(os.sep, "/")
+                if rel in EXCLUDED_MODULES:
+                    continue
                 with open(path, "rb") as handle:
-                    hashes[rel] = hashlib.sha256(handle.read()).hexdigest()
-        _MODULE_HASHES = hashes
-    return _MODULE_HASHES
-
-
-def _covered(rel: str, prefixes: Tuple[str, ...]) -> bool:
-    return any(rel == p or rel.startswith(p + "/") for p in prefixes)
-
-
-_FINGERPRINTS: Dict[str, str] = {}
-
-
-def code_fingerprint(kind: str, hashes: Optional[Mapping[str, str]] = None) -> str:
-    """Hash of the per-module source hashes the *kind* reads.
-
-    Pass *hashes* to fingerprint a hypothetical tree (tests); the
-    default uses the running tree and memoizes per kind.
-    """
-    if kind not in KIND_MODULES:
-        raise CacheError(
-            f"no module manifest for cell kind {kind!r} "
-            f"(known: {', '.join(sorted(KIND_MODULES))})"
-        )
-    if hashes is None:
-        if kind not in _FINGERPRINTS:
-            _FINGERPRINTS[kind] = code_fingerprint(kind, module_hashes())
-        return _FINGERPRINTS[kind]
-    prefixes = COMMON_MODULES + KIND_MODULES[kind]
-    hasher = hashlib.sha256()
-    for rel in sorted(hashes):
-        if _covered(rel, prefixes):
-            hasher.update(rel.encode("utf-8"))
-            hasher.update(hashes[rel].encode("ascii"))
-    return hasher.hexdigest()
+                    source = handle.read()
+                hasher.update(rel.encode("utf-8"))
+                hasher.update(hashlib.sha256(source).digest())
+        _FINGERPRINT = hasher.hexdigest()
+    return _FINGERPRINT
 
 
 # -- spec canonicalization -----------------------------------------------------
@@ -231,7 +167,7 @@ class ResultCache:
             {
                 "kind": cell.kind,
                 "spec": canonical(cell),
-                "code": code_fingerprint(cell.kind),
+                "code": code_fingerprint(),
             },
             sort_keys=True,
             separators=(",", ":"),

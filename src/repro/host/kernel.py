@@ -42,9 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: speed/memory knob.
 _BLOCK = 1024
 
-#: Environment variable forcing the legacy per-draw scalar sampling path.
-SCALAR_RNG_ENV = "REPRO_SIM_SCALAR_RNG"
-
 
 class HostKernel(Component):
     """The simulated host OS."""
@@ -124,9 +121,7 @@ class HostKernel(Component):
         # interleave normals and uniforms on the cpu stream, which
         # blocks cannot reproduce; those models use the scalar path.
         segments = model.segments.values()
-        from repro import env
-
-        if env.scalar_rng() or any(m.tail_prob > 0.0 for m in segments):
+        if any(m.tail_prob > 0.0 for m in segments):
             self._vector_mode = "scalar"
         else:
             sigmas = {m.jitter_sigma for m in segments if m.jitter_sigma > 0.0}

@@ -4,12 +4,10 @@ A minimal, deterministic event-driven kernel in the style of SimPy but
 specialized for this codebase:
 
 * integer-picosecond timestamps (see :mod:`repro.sim.time`),
-* a pluggable event queue with a monotonically increasing sequence
-  number as tie-breaker, so same-time events always run in schedule
-  order (full determinism across runs and platforms).  The default
-  backend is a bucketed calendar queue with O(1) push/pop; the legacy
-  binary heap remains available via ``REPRO_SIM_SCHEDULER=heap`` (see
-  :mod:`repro.sim.calendar`) and both produce byte-identical runs,
+* a single binary-heap event queue (a plain list driven by
+  :mod:`heapq`) with a monotonically increasing sequence number as
+  tie-breaker, so same-time events always run in schedule order (full
+  determinism across runs and platforms),
 * generator-based processes (:mod:`repro.sim.process`),
 * named, hierarchically seeded NumPy random streams so that adding a new
   consumer of randomness never perturbs existing streams.
@@ -21,11 +19,12 @@ models live in higher layers and interact only through ``schedule``,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+import functools
+import heapq
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.calendar import make_queue
 from repro.sim.event import Event, Timeout
 from repro.sim.process import Process, ProcessError, ProcessGenerator, process_name
 from repro.sim.time import SimTime
@@ -36,8 +35,10 @@ from repro.sim.time import SimTime
 #: per-event ``is not None`` check on the hot path.
 _NO_LIMIT = float("inf")
 
-#: Environment variable selecting the event-queue backend.
-SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
+#: An event entry: ``(time_ps, seq, callback, args)``.  ``seq`` is
+#: unique, so heap comparisons always resolve at the first two elements
+#: and never reach the callback.
+Entry = Tuple[SimTime, int, Callable[..., None], tuple]
 
 
 class SimulationError(RuntimeError):
@@ -53,26 +54,17 @@ class Simulator:
         Root seed for all random streams.  Two simulators constructed
         with the same seed and driven by the same model code produce
         bit-identical event orders and random draws.
-    scheduler:
-        Event-queue backend: ``"calendar"`` (default) or ``"heap"``.
-        ``None`` reads ``REPRO_SIM_SCHEDULER`` from the environment.
-        Both backends pop in the same ``(time, seq)`` total order, so
-        the choice never changes simulation results.
     """
 
-    def __init__(self, seed: int = 0, scheduler: Optional[str] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now: SimTime = 0
-        if scheduler is None:
-            from repro import env
-
-            scheduler = env.scheduler()
-        try:
-            self._q = make_queue(scheduler)
-        except ValueError as exc:
-            raise SimulationError(str(exc)) from None
-        # Bound once: ``schedule`` runs once per future event and the
-        # attribute chain is measurable at that call rate.
-        self._push = self._q.push
+        self._q: List[Entry] = []
+        # Bound once: ``schedule`` runs once per future event, and the
+        # process-step and link hot paths push through this binding
+        # directly; a partial over the C ``heappush`` adds no Python
+        # frame.
+        self._push = functools.partial(heapq.heappush, self._q)
+        self._peak = 0
         self._seq = 0
         self._seed = seed
         self._seed_root = np.random.SeedSequence(seed)
@@ -111,22 +103,20 @@ class Simulator:
         """Batch-schedule ``callback(*args)`` for each tuple in *argtuples*.
 
         All callbacks fire at the same time, in *argtuples* order —
-        exactly equivalent to a loop of :meth:`schedule` calls, but with
-        one queue operation for the whole batch.  Chatty posters (PCIe
-        completion splitters, descriptor bursts) use this to amortize
-        per-event scheduling overhead.
+        exactly equivalent to a loop of :meth:`schedule` calls, with one
+        delay check and seq update for the whole batch.  Chatty posters
+        (PCIe completion splitters, descriptor bursts) use this to
+        amortize per-event scheduling overhead.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         when = self._now + delay
         seq = self._seq
-        entries = []
-        append = entries.append
+        push = self._push
         for args in argtuples:
             seq += 1
-            append((when, seq, callback, args))
+            push((when, seq, callback, args))
         self._seq = seq
-        self._q.push_many(entries)
 
     def schedule_at(self, when: SimTime, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute time *when*."""
@@ -194,31 +184,36 @@ class Simulator:
         failures at the same points.
         """
         # The loop body is the hottest code in the repository (one
-        # iteration per simulated event); bind the queue operations and
-        # the stop bound to locals so each iteration avoids repeated
-        # attribute and global lookups.
+        # iteration per simulated event); bind the queue, the pop, the
+        # peak depth and the stop bounds to locals so each iteration
+        # avoids repeated attribute and global lookups.  The head is
+        # examined in place and only popped once it will run, so a stop
+        # on ``until`` or ``max_events`` leaves the queue untouched.
         executed = 0
-        pop = self._q.pop
-        pushback = self._q.pushback
+        q = self._q
+        heappop = heapq.heappop
+        peak = self._peak
         stop = _NO_LIMIT if until is None else until
         budget = _NO_LIMIT if max_events is None else max_events
         if self._pending_failure is not None:
             self._raise_pending_failure()
         try:
             while True:
-                entry = pop()
-                if entry is None:
+                # Peak depth: the pending count at every event boundary.
+                depth = len(q)
+                if not depth:
                     break
-                when = entry[0]
+                if depth > peak:
+                    peak = depth
+                when = q[0][0]
                 if when > stop:
-                    pushback(entry)
                     self._now = until
                     break
                 if executed >= budget:
-                    pushback(entry)
                     raise SimulationError(
                         f"exceeded max_events={max_events} at t={self._now}ps"
                     )
+                entry = heappop(q)
                 self._now = when
                 entry[2](*entry[3])
                 executed += 1
@@ -226,6 +221,8 @@ class Simulator:
                     self._raise_pending_failure()
         finally:
             self._events_executed += executed
+            if peak > self._peak:
+                self._peak = peak
         if until is not None and self._now < until:
             self._now = until
         return self._now
@@ -243,23 +240,26 @@ class Simulator:
         a pre-recorded failure raises before any event executes, and a
         failure recorded by an executed event raises right after it.
         """
-        pop = self._q.pop
-        pushback = self._q.pushback
+        q = self._q
+        heappop = heapq.heappop
+        peak = self._peak
         stop = _NO_LIMIT if limit is None else limit
         executed = 0
         if self._pending_failure is not None:
             self._raise_pending_failure()
         try:
             while not event._triggered:
-                entry = pop()
-                if entry is None:
+                depth = len(q)
+                if not depth:
                     raise SimulationError(
                         f"deadlock: queue empty while waiting for {event!r}"
                     )
-                when = entry[0]
+                if depth > peak:
+                    peak = depth
+                when = q[0][0]
                 if when > stop:
-                    pushback(entry)
                     raise SimulationError(f"timeout at {limit}ps waiting for {event!r}")
+                entry = heappop(q)
                 self._now = when
                 entry[2](*entry[3])
                 executed += 1
@@ -267,6 +267,8 @@ class Simulator:
                     self._raise_pending_failure()
         finally:
             self._events_executed += executed
+            if peak > self._peak:
+                self._peak = peak
         return event.value
 
     @property
@@ -281,11 +283,15 @@ class Simulator:
 
     @property
     def scheduler_stats(self) -> dict:
-        """Backend queue statistics plus kernel-level schedule/pop counts."""
-        stats = self._q.stats()
-        stats["schedules"] = self._seq
-        stats["executed"] = self._events_executed
-        return stats
+        """Event-queue counters: events pending now, the peak pending
+        count seen at an event-loop iteration, events scheduled, and
+        events executed."""
+        return {
+            "pending": len(self._q),
+            "peak_depth": self._peak,
+            "schedules": self._seq,
+            "executed": self._events_executed,
+        }
 
     # -- randomness ---------------------------------------------------------------
 

@@ -282,7 +282,9 @@ class TestArtifactRegistry:
             assert name in err
 
     def test_invalid_env_rejected_before_any_work(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "fifo")
+        # table1 never reads the guest mode, so only the up-front sweep
+        # of every knob can catch this value.
+        monkeypatch.setenv("REPRO_GUEST_MODE", "emulated")
         with pytest.raises(SystemExit):
             main(["table1", "--packets", "10", "--payloads", "64"])
-        assert "REPRO_SIM_SCHEDULER" in capsys.readouterr().err
+        assert "REPRO_GUEST_MODE" in capsys.readouterr().err

@@ -5,9 +5,9 @@ snapshot boot reuse"):
 
 * a warm rerun of an unchanged command is byte-identical to the cold
   run, for any ``--jobs`` and any hit/miss mix;
-* the key covers every relevant input -- root seed, any spec field,
-  the source of any module the kind executes -- and nothing more (a
-  change to an unrelated subpackage keeps entries valid);
+* the key covers every input -- root seed, any spec field, the source
+  of any ``repro`` module a cell may execute -- and leaves out only the
+  plumbing that computes no cell (the CLI, the bench driver, the cache);
 * a defective entry (truncated, corrupted, wrong magic) is a miss,
   never an error.
 """
@@ -16,12 +16,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.exec import cache as result_cache
-from repro.exec.cache import CacheError, ResultCache, code_fingerprint
+from repro.exec.cache import ResultCache
 from repro.exec.cells import latency_cells
 from repro.exec.runner import CellOutcome
 
@@ -133,46 +138,56 @@ class TestKeying:
         cache = ResultCache(str(tmp_path))
         cell = _cell()
         cache.put(cell, _outcome(cell))
-        monkeypatch.setitem(result_cache._FINGERPRINTS, "latency", "0" * 64)
+        monkeypatch.setattr(result_cache, "_FINGERPRINT", "0" * 64)
         assert cache.get(cell) is None
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(CacheError, match="thermal"):
-            code_fingerprint("thermal")
+
+#: Prints the cache key of one latency cell, computed by whichever
+#: ``repro`` package is first on ``PYTHONPATH``.
+_KEY_SCRIPT = (
+    "import sys\n"
+    "from repro.exec.cache import ResultCache\n"
+    "from repro.exec.cells import latency_cells\n"
+    "cell = latency_cells((64,), packets=10, seed=9)[0]\n"
+    "print(ResultCache(sys.argv[1]).key(cell))\n"
+)
 
 
-class TestFingerprints:
-    BASE = {
-        "core/latency.py": "aa", "sim/kernel.py": "bb",
-        "guest/experiments.py": "cc", "workload/openload.py": "dd",
-    }
+class TestCodeFingerprint:
+    """The key follows the source tree: one package copy per case, the
+    key computed in a fresh interpreter importing that copy."""
 
-    def test_relevant_module_changes_fingerprint(self):
-        changed = dict(self.BASE, **{"sim/kernel.py": "ee"})
-        assert code_fingerprint("latency", self.BASE) != code_fingerprint(
-            "latency", changed
+    @staticmethod
+    def _latency_key(tmp_path, name, edits=()):
+        tree = tmp_path / name
+        shutil.copytree(
+            Path(result_cache.__file__).resolve().parent.parent, tree / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
         )
-
-    def test_irrelevant_module_keeps_fingerprint(self):
-        # latency cells never execute guest code: editing the guest
-        # subpackage must not invalidate their cached results.
-        changed = dict(self.BASE, **{"guest/experiments.py": "ee"})
-        assert code_fingerprint("latency", self.BASE) == code_fingerprint(
-            "latency", changed
+        for rel in edits:
+            with open(tree / "repro" / rel, "a") as handle:
+                handle.write("\n# edited\n")
+        env = dict(os.environ, PYTHONPATH=str(tree), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-c", _KEY_SCRIPT, str(tmp_path / "cache")],
+            env=env, capture_output=True, text=True, check=True,
         )
-        # ... but it must invalidate guest cells.
-        assert code_fingerprint("guest", self.BASE) != code_fingerprint(
-            "guest", changed
-        )
+        return done.stdout.strip()
 
-    def test_kind_manifests_differ(self):
-        assert code_fingerprint("latency", self.BASE) != code_fingerprint(
-            "openload", self.BASE
-        )
+    def test_any_model_module_changes_a_latency_key(self, tmp_path):
+        # Latency cells reach health/bounded.py through the socket
+        # receive queue (BoundedQueue.try_push on every UDP delivery).
+        base = self._latency_key(tmp_path, "base")
+        edited = self._latency_key(tmp_path, "health", ["health/bounded.py"])
+        assert len(base) == 64
+        assert edited != base
 
-    def test_every_kind_has_a_manifest_fingerprint(self):
-        for kind in result_cache.KIND_MODULES:
-            assert len(code_fingerprint(kind, self.BASE)) == 64
+    def test_plumbing_edits_keep_the_key(self, tmp_path):
+        base = self._latency_key(tmp_path, "base")
+        edited = self._latency_key(
+            tmp_path, "plumbing", result_cache.EXCLUDED_MODULES
+        )
+        assert edited == base
 
 
 class TestCorruption:

@@ -28,25 +28,8 @@ class TestPackets:
             env.packets(500)
 
 
-class TestScheduler:
-    def test_default_is_calendar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_SCHEDULER", raising=False)
-        assert env.scheduler() == "calendar"
-
-    @pytest.mark.parametrize("backend", ["calendar", "heap"])
-    def test_valid_backends(self, monkeypatch, backend):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", backend)
-        assert env.scheduler() == backend
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", "fifo")
-        with pytest.raises(env.EnvError, match="'calendar' or 'heap'.*'fifo'"):
-            env.scheduler()
-
-
 class TestFlags:
     @pytest.mark.parametrize("reader,name", [
-        (env.scalar_rng, "REPRO_SIM_SCALAR_RNG"),
         (env.bufpool_debug, "REPRO_BUFPOOL_DEBUG"),
     ])
     def test_flag_values(self, monkeypatch, reader, name):
@@ -81,6 +64,15 @@ class TestGuestMode:
     def test_unknown_mode_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_GUEST_MODE", "emulated")
         with pytest.raises(env.EnvError, match="'emulated'"):
+            env.guest_mode()
+
+    def test_rejection_lists_choices_then_value(self, monkeypatch):
+        # The message names the variable, the accepted set, then the value.
+        monkeypatch.setenv("REPRO_GUEST_MODE", "trap")
+        with pytest.raises(
+            env.EnvError,
+            match="REPRO_GUEST_MODE must be 'bare', 'trapped', or 'vhost', got 'trap'",
+        ):
             env.guest_mode()
 
 
@@ -129,6 +121,12 @@ class TestCacheKnobs:
 
 
 class TestCheckEnvironment:
+    def test_knob_set(self):
+        assert sorted(env.KNOWN_KNOBS) == [
+            "REPRO_BUFPOOL_DEBUG", "REPRO_CACHE", "REPRO_CACHE_DIR",
+            "REPRO_GUEST_MODE", "REPRO_PACKETS", "REPRO_SNAPSHOT_BOOT",
+        ]
+
     def test_clean_environment_passes(self, monkeypatch):
         for name in env.KNOWN_KNOBS:
             monkeypatch.delenv(name, raising=False)

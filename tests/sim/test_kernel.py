@@ -81,6 +81,32 @@ class TestScheduling:
         sim.run(max_events=5)
         assert hits == [0, 1, 2, 3, 4]
 
+    def test_until_clamp_then_earlier_schedule(self, sim):
+        """After an ``until`` clamp moved now up to the boundary, an event
+        scheduled before the still-pending head must run first."""
+        order = []
+        sim.schedule(ns(100), order.append, "late")
+        sim.run(until=ns(10))
+        assert sim.now == ns(10)
+        sim.schedule(ns(5), order.append, "early")
+        sim.run()
+        assert order == ["early", "late"]
+
+    def test_schedule_many_equals_schedule_loop(self):
+        a, b = Simulator(), Simulator()
+        got_a, got_b = [], []
+        for i in range(5):
+            a.schedule(ns(10), got_a.append, i)
+        b.schedule_many(ns(10), got_b.append, [(i,) for i in range(5)])
+        assert a._seq == b._seq
+        a.run()
+        b.run()
+        assert got_a == got_b == [0, 1, 2, 3, 4]
+
+    def test_schedule_many_negative_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule_many(-1, print, [()])
+
     def test_schedule_at_past_reports_absolute_times(self, sim):
         sim.schedule(ns(10), lambda: None)
         sim.run()
@@ -164,6 +190,81 @@ class TestProcesses:
         ev = sim.event()
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run_until_triggered(ev)
+
+
+class TestUnifiedFailureSurfacing:
+    """``run`` and ``run_until_triggered`` must surface process
+    failures at identical points: a pre-recorded failure raises before
+    any event executes, a mid-run failure right after its event."""
+
+    @staticmethod
+    def _failing_sim():
+        sim = Simulator()
+
+        def bad():
+            yield ns(1)
+            raise ValueError("boom")
+
+        sim.spawn(bad(), name="badproc")
+        return sim
+
+    def test_run_raises_promptly(self):
+        sim = self._failing_sim()
+        ran_after = []
+        sim.schedule(ns(2), ran_after.append, True)
+        with pytest.raises(ProcessError, match="badproc"):
+            sim.run()
+        assert not ran_after
+
+    def test_run_until_triggered_raises_promptly(self):
+        sim = self._failing_sim()
+        ran_after = []
+        sim.schedule(ns(2), ran_after.append, True)
+        with pytest.raises(ProcessError, match="badproc"):
+            sim.run_until_triggered(sim.event())
+        assert not ran_after
+
+    def test_pending_failure_raises_before_events_in_both_loops(self):
+        for runner in ("run", "run_until_triggered"):
+            sim = self._failing_sim()
+            with pytest.raises(ProcessError):
+                sim.run()
+            # Failure consumed; record another and call the other loop.
+            sim._process_failed(ProcessError("stale", RuntimeError("x")))
+            ran = []
+            sim.schedule(ns(5), ran.append, True)
+            with pytest.raises(ProcessError, match="stale"):
+                if runner == "run":
+                    sim.run()
+                else:
+                    sim.run_until_triggered(sim.event())
+            assert not ran
+
+
+class TestSchedulerStats:
+    def test_keys_and_peak_depth_at_stopping_iterations(self, sim):
+        """``peak_depth`` is the pending count seen at every loop
+        iteration, including one that stops on ``until`` or
+        ``max_events`` without running an event."""
+
+        def fan_out():
+            sim.schedule(ns(200), lambda: None)
+            sim.schedule(ns(200), lambda: None)
+
+        for _ in range(4):
+            sim.schedule(ns(100), fan_out)
+        sim.run(until=ns(10))
+        # One iteration, 4 pending, stopped on ``until``.
+        assert sim.scheduler_stats == {
+            "pending": 4, "peak_depth": 4, "schedules": 4, "executed": 0,
+        }
+        with pytest.raises(SimulationError, match="max_events=2"):
+            sim.run(max_events=2)
+        # Iterations saw 4, 5 and 6 pending; the third stopped on the
+        # budget, so only it saw the peak.
+        assert sim.scheduler_stats == {
+            "pending": 6, "peak_depth": 6, "schedules": 8, "executed": 2,
+        }
 
 
 class TestRandomStreams:
