@@ -17,9 +17,7 @@ shape of the response:
 import pytest
 
 from benchmarks.conftest import attach_table
-from repro.workload import run_driver_load_sweep
-
-MULTIPLIERS = (0.25, 0.5, 1.0, 4.0, 8.0)
+from repro.core.experiments import run_load_sweep
 
 
 @pytest.mark.benchmark(group="extensions")
@@ -27,12 +25,8 @@ def test_extension_load_sweep(benchmark, packets):
     count = max(120, min(packets, 300))
 
     def regenerate():
-        return {
-            driver: run_driver_load_sweep(
-                driver, seed=0, packets=count, multipliers=MULTIPLIERS
-            )
-            for driver in ("virtio", "xdma")
-        }
+        sweeps, _ = run_load_sweep(packets=count, seed=0)
+        return sweeps
 
     sweeps = benchmark.pedantic(regenerate, rounds=1, iterations=1)
 

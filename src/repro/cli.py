@@ -52,7 +52,8 @@ or virtio-mmio transport, with a trap-time column in the breakdown::
     virtio-fpga-repro guestsweep --modes bare vhost --payloads 64 1024 -j 4
     virtio-fpga-repro guestsweep --transport mmio --packets 200
 
-``--jobs/-j`` fans any artifact out over a process pool (bit-identical
+Every artifact runs through the cell engine; ``--jobs/-j`` fans it out
+over a process pool (default: one in-process worker; bit-identical
 output for any worker count), and ``bench`` records the serial vs
 parallel perf trajectory::
 
@@ -162,9 +163,9 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="fan the run out over N worker processes via the parallel "
-        "execution engine (output is bit-identical for any N; default: "
-        "the original serial path; bench default: all CPUs)",
+        help="fan the run's cells out over N worker processes (output is "
+        "bit-identical for any N; default: 1, in-process; bench default: "
+        "all CPUs)",
     )
     parser.add_argument(
         "--payloads",
@@ -438,23 +439,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro.exec import cache as result_cache
 
-    cache = result_cache.configure(
+    result_cache.configure(
         enabled=(args.cache or env.result_cache()) and not args.no_cache,
         cache_dir=args.cache_dir,
     )
-    if (
-        cache is not None
-        and args.jobs is None
-        and args.artifact not in ("fleetsweep", "guestsweep", "bench")
-    ):
-        # With --jobs unset these artifacts take the legacy serial
-        # path, which never enters the cell engine -- the cache would
-        # sit idle.  Say so instead of silently reporting zero hits.
-        print(
-            f"note: the result cache only covers cell-engine runs; "
-            f"pass -j (e.g. -j 1) to cache {args.artifact!r} cells",
-            file=sys.stderr,
-        )
 
     started = time.time()
     if args.artifact == "bench" and args.check:
@@ -505,6 +493,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(render_bench(record))
         print(f"\n[bench record written to {path}]", file=sys.stderr)
         return 0 if record["parallel_matches_serial"] else 1
+    jobs = args.jobs if args.jobs is not None else 1
     if args.artifact == "loadsweep":
         packets = args.packets if args.packets is not None else default_packets(400)
         payloads = args.payloads if args.payloads is not None else [64]
@@ -515,7 +504,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             outstanding=args.outstanding,
             arrival=args.distribution,
             payload_sizes=payloads,
-            jobs=args.jobs,
+            jobs=jobs,
         )
         if args.json:
             _emit_json(
@@ -553,7 +542,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             rates = tuple(args.fault_rates) if args.fault_rates else DEFAULT_FAULT_RATES
             result, text = run_fault_sweep(
                 rates=rates, payload=payload, packets=packets, seed=args.seed,
-                jobs=args.jobs,
+                jobs=jobs,
             )
         if args.json:
             _emit_json(
@@ -576,7 +565,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
         payloads = args.payloads if args.payloads is not None else [64]
-        jobs = args.jobs if args.jobs is not None else 1
         if args.soak:
             packets = args.packets if args.packets is not None else default_packets(300)
             fault_rate = args.fault_rate if args.fault_rate is not None else 0.02
@@ -639,7 +627,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             payload=payload,
             vfs_per_device=args.vfs,
             arbiter=args.arbiter,
-            jobs=args.jobs if args.jobs is not None else 1,
+            jobs=jobs,
         )
         if args.json:
             _emit_json(result.as_dict())
@@ -670,7 +658,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             modes=modes,
             transport=args.transport,
-            jobs=args.jobs if args.jobs is not None else 1,
+            jobs=jobs,
         )
         if args.json:
             _emit_json(report.as_dict())
@@ -686,7 +674,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     packets = args.packets if args.packets is not None else default_packets()
     payloads = args.payloads if args.payloads is not None else list(PAPER_PAYLOAD_SIZES)
-    kwargs = dict(payload_sizes=payloads, packets=packets, seed=args.seed, jobs=args.jobs)
+    kwargs = dict(payload_sizes=payloads, packets=packets, seed=args.seed, jobs=jobs)
+    checks = []  # claims/all exit 1 on any failed claim
 
     if args.artifact == "fig3":
         comparison, text = figure3(**kwargs)
@@ -748,8 +737,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(text)
     elif args.artifact == "claims":
-        comparison = run_comparison(**kwargs)
-        print(render_claims(verify_paper_claims(comparison)))
+        checks = verify_paper_claims(run_comparison(**kwargs))
+        print(render_claims(checks))
     elif args.artifact == "all":
         comparison, text = table1(**kwargs)
         print(text)
@@ -760,13 +749,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print()
         print(render_breakdown(comparison.xdma, "Figure 5: XDMA breakdown"))
         print()
-        print(render_claims(verify_paper_claims(comparison)))
+        checks = verify_paper_claims(comparison)
+        print(render_claims(checks))
     print(
         f"\n[{args.artifact}: {packets} packets/size x {len(payloads)} sizes, "
         f"seed {args.seed}, {time.time() - started:.1f}s]",
         file=sys.stderr,
     )
-    return 0
+    return 0 if all(check.holds for check in checks) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,11 +8,10 @@ Packet counts default to a CI-friendly value; pass
 ``packets=PAPER_PACKETS_PER_SIZE`` (50 000) for full-fidelity runs.
 The ``REPRO_PACKETS`` environment variable overrides the default.
 
-Every entry point takes ``jobs``: ``None`` (default) runs the original
-serial path -- the bit-exact reference -- while any integer routes the
-run through :mod:`repro.exec`, which decomposes it into independent
-cells and fans them out over a process pool (``jobs=1`` runs the same
-cells in-process; output is identical for any worker count).
+Every entry point runs through :mod:`repro.exec`, which decomposes the
+run into independently seeded cells.  ``jobs`` is the worker count:
+``1`` (default) runs the cells in-process, ``N > 1`` fans them out over
+a process pool, and the output is byte-identical for any ``jobs``.
 """
 
 from __future__ import annotations
@@ -25,14 +24,13 @@ from repro.core.calibration import (
     PAPER_PROFILE,
     CalibrationProfile,
 )
-from repro.core.latency import run_latency_sweep
 from repro.core.results import (
     ComparisonResult,
     SweepResult,
     breakdown_rows,
     render_breakdown,
 )
-from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
+from repro.exec.runner import execute_comparison, execute_load_sweep, execute_sweep
 
 
 def default_packets(fallback: int = 2000) -> int:
@@ -48,18 +46,13 @@ def run_virtio_sweep(
     packets: Optional[int] = None,
     seed: int = 0,
     profile: CalibrationProfile = PAPER_PROFILE,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> SweepResult:
     """The VirtIO side of the evaluation."""
-    if jobs is not None:
-        from repro.exec import execute_sweep
-
-        sweep, _ = execute_sweep(
-            "virtio", payload_sizes, packets or default_packets(), seed, profile, jobs
-        )
-        return sweep
-    testbed = build_virtio_testbed(seed=seed, profile=profile)
-    return run_latency_sweep(testbed, payload_sizes, packets or default_packets())
+    sweep, _ = execute_sweep(
+        "virtio", payload_sizes, packets or default_packets(), seed, profile, jobs
+    )
+    return sweep
 
 
 def run_xdma_sweep(
@@ -67,18 +60,13 @@ def run_xdma_sweep(
     packets: Optional[int] = None,
     seed: int = 0,
     profile: CalibrationProfile = PAPER_PROFILE,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> SweepResult:
     """The XDMA side of the evaluation."""
-    if jobs is not None:
-        from repro.exec import execute_sweep
-
-        sweep, _ = execute_sweep(
-            "xdma", payload_sizes, packets or default_packets(), seed, profile, jobs
-        )
-        return sweep
-    testbed = build_xdma_testbed(seed=seed, profile=profile)
-    return run_latency_sweep(testbed, payload_sizes, packets or default_packets())
+    sweep, _ = execute_sweep(
+        "xdma", payload_sizes, packets or default_packets(), seed, profile, jobs
+    )
+    return sweep
 
 
 def run_comparison(
@@ -86,24 +74,17 @@ def run_comparison(
     packets: Optional[int] = None,
     seed: int = 0,
     profile: CalibrationProfile = PAPER_PROFILE,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> ComparisonResult:
     """Both sweeps with matched parameters.
 
-    With ``jobs`` set, both drivers' cells share one fan-out so the
-    pool is loaded with all driver x payload cells at once.
+    Both drivers' cells share one fan-out, so the pool is loaded with
+    all driver x payload cells at once.
     """
-    if jobs is not None:
-        from repro.exec import execute_comparison
-
-        comparison, _ = execute_comparison(
-            payload_sizes, packets or default_packets(), seed, profile, jobs
-        )
-        return comparison
-    return ComparisonResult(
-        virtio=run_virtio_sweep(payload_sizes, packets, seed, profile),
-        xdma=run_xdma_sweep(payload_sizes, packets, seed, profile),
+    comparison, _ = execute_comparison(
+        payload_sizes, packets or default_packets(), seed, profile, jobs
     )
+    return comparison
 
 
 # -- Figure 3: round-trip latency distributions ------------------------------------
@@ -114,7 +95,7 @@ def figure3(
     packets: Optional[int] = None,
     seed: int = 0,
     profile: CalibrationProfile = PAPER_PROFILE,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> Tuple[ComparisonResult, str]:
     """Fig. 3: latency distributions for both drivers, all payloads."""
     comparison = run_comparison(payload_sizes, packets, seed, profile, jobs)
@@ -139,7 +120,7 @@ def figure4(
     packets: Optional[int] = None,
     seed: int = 0,
     profile: CalibrationProfile = PAPER_PROFILE,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> Tuple[SweepResult, str]:
     """Fig. 4: VirtIO hardware/software breakdown."""
     sweep = run_virtio_sweep(payload_sizes, packets, seed, profile, jobs)
@@ -153,7 +134,7 @@ def figure5(
     packets: Optional[int] = None,
     seed: int = 0,
     profile: CalibrationProfile = PAPER_PROFILE,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> Tuple[SweepResult, str]:
     """Fig. 5: XDMA hardware/software breakdown."""
     sweep = run_xdma_sweep(payload_sizes, packets, seed, profile, jobs)
@@ -170,7 +151,7 @@ def table1(
     packets: Optional[int] = None,
     seed: int = 0,
     profile: CalibrationProfile = PAPER_PROFILE,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> Tuple[ComparisonResult, str]:
     """Table I: 95/99/99.9% tail latencies for both drivers."""
     comparison = run_comparison(payload_sizes, packets, seed, profile, jobs)
@@ -189,7 +170,7 @@ def run_load_sweep(
     outstanding: Optional[Sequence[int]] = None,
     arrival: str = "poisson",
     payload_sizes: Sequence[int] = (64,),
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> Tuple[dict, str]:
     """Offered-load sweep on both driver stacks (``loadsweep`` CLI).
 
@@ -204,36 +185,12 @@ def run_load_sweep(
     :class:`repro.workload.sweep.LoadSweepResult` (or
     :class:`~repro.workload.sweep.ClosedSweepResult`).
     """
-    from repro.workload.sizes import make_sizes
-    from repro.workload.sweep import run_driver_closed_sweep, run_driver_load_sweep
-
-    count = packets or default_packets(400)
-    if jobs is not None:
-        from repro.exec import execute_load_sweep
-
-        results, _ = execute_load_sweep(
-            drivers=drivers, packets=count, seed=seed, profile=profile,
-            rates=rates, outstanding=outstanding, arrival=arrival,
-            payload_sizes=payload_sizes, jobs=jobs,
-        )
-        blocks = [results[driver].render() for driver in drivers]
-    else:
-        sizes = make_sizes(list(payload_sizes))
-        results = {}
-        blocks = []
-        for driver in drivers:
-            if outstanding:
-                result = run_driver_closed_sweep(
-                    driver, outstanding=outstanding, seed=seed, packets=count,
-                    sizes=sizes, profile=profile,
-                )
-            else:
-                result = run_driver_load_sweep(
-                    driver, seed=seed, packets=count, rates=rates, arrival=arrival,
-                    sizes=sizes, profile=profile,
-                )
-            results[driver] = result
-            blocks.append(result.render())
+    results, _ = execute_load_sweep(
+        drivers=drivers, packets=packets or default_packets(400), seed=seed,
+        profile=profile, rates=rates, outstanding=outstanding, arrival=arrival,
+        payload_sizes=payload_sizes, jobs=jobs,
+    )
+    blocks = [results[driver].render() for driver in drivers]
     title = (
         "Load sweep (closed loop)" if outstanding
         else "Load sweep (open loop)"

@@ -53,6 +53,9 @@ def derive_cell_seed(root_seed: int, *identity: object) -> int:
     return seed
 
 
+#: The driver stacks a single-driver cell can boot.
+DRIVERS = ("virtio", "xdma")
+
 #: Kinds whose cells deliberately reuse another kind's seed identity.
 #: These aliases are the determinism guards the layered experiments
 #: rest on: a fault/guest cell boots the very machine the plain latency
@@ -86,6 +89,10 @@ def seed_identity(
     Open-loop points are identified by *index*, never by the rate
     value: auto-placed rates are floats whose textual form could vary,
     while the point index is exact and stable.
+
+    Every cell factory passes through here, so an unknown *driver* is
+    rejected with :class:`ValueError` before any cell boots, whatever
+    the artifact and worker count.
     """
     base = SEED_IDENTITY_ALIASES.get(kind, kind)
     if base == "latency":
@@ -102,6 +109,8 @@ def seed_identity(
         raise ValueError(f"no seed identity for cell kind {kind!r}")
     if any(part is None for part in parts):
         raise ValueError(f"incomplete seed identity for kind {kind!r}: {parts}")
+    if base != "fleet" and driver not in DRIVERS:
+        raise ValueError(f"unknown driver {driver!r} (expected 'virtio' or 'xdma')")
     return parts
 
 

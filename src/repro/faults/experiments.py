@@ -164,14 +164,14 @@ def run_fault_sweep(
     seed: int = 0,
     profile: CalibrationProfile = PAPER_PROFILE,
     drivers: Sequence[str] = ("virtio", "xdma"),
-    jobs: Optional[int] = None,
+    jobs: int = 1,
 ) -> Tuple[FaultSweepResult, str]:
     """E-F1: sweep both driver stacks across fault rates.
 
-    Always routes through the cell engine (``jobs=None`` runs the cells
-    in-process); output is bit-identical for any worker count because
-    cells merge in construction order and each cell's seed depends only
-    on its (driver, payload) identity.
+    Runs through the cell engine on ``jobs`` workers (``1`` runs the
+    cells in-process); output is bit-identical for any worker count
+    because cells merge in construction order and each cell's seed
+    depends only on its (driver, payload) identity.
     """
     from repro.exec.runner import execute_fault_sweep
 
@@ -183,7 +183,7 @@ def run_fault_sweep(
         seed=seed,
         profile=profile,
         drivers=drivers,
-        jobs=jobs or 1,
+        jobs=jobs,
     )
     sweep = FaultSweepResult(payload=payload, packets=count, seed=seed)
     for driver in drivers:

@@ -211,19 +211,6 @@ def guest_cell_plan(cell: Cell):
     return key, boot, measure
 
 
-def execute_guest_cell(cell: Cell) -> Tuple[Tuple[PayloadResult, Dict[str, Any]], int]:
-    """Worker body for ``kind="guest"`` cells.
-
-    Returns ``((payload result, VMM counters), events)``.  The counters
-    are cumulative over the cell (boot + measurement), empty for bare.
-    """
-    from repro.exec import snapshot
-
-    key, boot, measure = guest_cell_plan(cell)
-    (value, events), _ = snapshot.execute(key, boot, measure)
-    return value, events
-
-
 # -- the sweep ----------------------------------------------------------------------
 
 

@@ -532,15 +532,6 @@ def fleet_cell_plan(cell: Cell):
     return key, boot, measure
 
 
-def execute_fleet_cell(cell: Cell) -> Tuple[FleetPodReport, int]:
-    """Worker body for ``kind="fleet"`` cells; returns (report, events)."""
-    from repro.exec import snapshot
-
-    key, boot, measure = fleet_cell_plan(cell)
-    (report, events), _ = snapshot.execute(key, boot, measure)
-    return report, events
-
-
 def run_fleet_sweep(
     pods: int = 4,
     tenants: int = 16,

@@ -15,8 +15,9 @@ load* axis the ping-pong layer cannot express:
 * :mod:`repro.workload.metrics` -- per-run accounting: achieved
   throughput, in-flight occupancy time series, drop/backpressure
   counts, latency samples feeding the ``stats`` percentile machinery,
-* :mod:`repro.workload.sweep` -- the offered-load sweep driver that
-  locates the saturation knee for both driver stacks.
+* :mod:`repro.workload.sweep` -- the offered-load sweep results that
+  locate the saturation knee for both driver stacks (the sweep itself
+  runs through the cell engine, :func:`repro.core.experiments.run_load_sweep`).
 """
 
 from repro.workload.arrivals import (
@@ -43,9 +44,6 @@ from repro.workload.sweep import (
     ClosedSweepResult,
     LoadPoint,
     LoadSweepResult,
-    estimate_base_rate,
-    run_driver_closed_sweep,
-    run_driver_load_sweep,
 )
 
 __all__ = [
@@ -65,9 +63,6 @@ __all__ = [
     "SizeDistribution",
     "UniformSize",
     "WorkloadError",
-    "estimate_base_rate",
     "make_arrivals",
     "make_sizes",
-    "run_driver_closed_sweep",
-    "run_driver_load_sweep",
 ]

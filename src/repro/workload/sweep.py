@@ -1,4 +1,4 @@
-"""Offered-load sweep driver: locate the saturation knee.
+"""Offered-load sweep results: locate the saturation knee.
 
 The sweep calibrates itself: a short closed-loop ``outstanding=1`` run
 (the paper's ping-pong) measures the base round trip, whose inverse is
@@ -9,22 +9,22 @@ achieved throughput plateaus and the tail percentiles grow with the
 queue) -- so the same relative sweep straddles the knee on both driver
 stacks even though their capacities differ.
 
-Every load point runs on a freshly booted testbed with the same seed:
-points are independent experiments, and the whole sweep is
-bit-reproducible for a given seed.
+The sweep itself runs through the cell engine
+(:func:`repro.exec.runner.execute_load_sweep`, behind
+:func:`repro.core.experiments.run_load_sweep`): every load point is a
+cell on a freshly booted testbed, seeded from the root seed and the
+point's identity (driver plus point index, or outstanding count for a
+closed-loop point), so points are independent experiments and the
+whole sweep is bit-reproducible for a given seed.
+This module holds the result types and the sweep constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
-from repro.core.calibration import PAPER_PROFILE, CalibrationProfile
-from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
-from repro.workload.arrivals import make_arrivals
-from repro.workload.generator import ClosedLoopGenerator, OpenLoopGenerator
 from repro.workload.metrics import RunMetrics
-from repro.workload.sizes import FixedSize, SizeDistribution
 
 #: Offered-load points as multiples of the measured base (1/RTT) rate.
 DEFAULT_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -34,35 +34,6 @@ KNEE_UTILIZATION = 0.9
 
 #: Ping-pong round trips used to measure the base rate.
 CALIBRATION_PACKETS = 120
-
-
-def _builder(driver: str) -> Callable[..., object]:
-    if driver == "virtio":
-        return build_virtio_testbed
-    if driver == "xdma":
-        return build_xdma_testbed
-    raise ValueError(f"unknown driver {driver!r} (expected 'virtio' or 'xdma')")
-
-
-def estimate_base_rate(
-    driver: str,
-    seed: int = 0,
-    packets: int = CALIBRATION_PACKETS,
-    sizes: Optional[SizeDistribution] = None,
-    profile: CalibrationProfile = PAPER_PROFILE,
-) -> Tuple[float, float]:
-    """Measure the ping-pong floor; returns ``(rtt_us, rate_pps)``.
-
-    The rate is the closed-loop one-in-flight completion rate -- the
-    natural unit for placing offered-load points.
-    """
-    testbed = _builder(driver)(seed=seed, profile=profile)
-    generator = ClosedLoopGenerator(
-        outstanding=1, sizes=sizes or FixedSize(64), packets=packets
-    )
-    metrics = testbed.run_workload(generator)
-    rtt_us = float(metrics.latency_ps.mean()) / 1e6
-    return rtt_us, 1e6 / rtt_us
 
 
 @dataclass(frozen=True)
@@ -178,46 +149,6 @@ class LoadSweepResult:
         }
 
 
-def run_driver_load_sweep(
-    driver: str,
-    seed: int = 0,
-    packets: int = 400,
-    rates: Optional[Sequence[float]] = None,
-    multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
-    arrival: str = "poisson",
-    sizes: Optional[SizeDistribution] = None,
-    profile: CalibrationProfile = PAPER_PROFILE,
-) -> LoadSweepResult:
-    """Open-loop offered-load sweep for one driver stack.
-
-    ``rates`` (pps) overrides the auto-placed points; otherwise the
-    points are ``multipliers`` times the measured base rate.
-    """
-    sizes = sizes or FixedSize(64)
-    base_rtt_us, base_rate = estimate_base_rate(
-        driver, seed=seed, sizes=sizes, profile=profile
-    )
-    offered = list(rates) if rates else [m * base_rate for m in multipliers]
-    if not offered:
-        raise ValueError("load sweep needs at least one offered-load point")
-
-    points = []
-    for rate in offered:
-        testbed = _builder(driver)(seed=seed, profile=profile)
-        generator = OpenLoopGenerator(
-            arrivals=make_arrivals(arrival, rate), sizes=sizes, packets=packets
-        )
-        points.append(LoadPoint(offered_pps=rate, metrics=testbed.run_workload(generator)))
-    return LoadSweepResult(
-        driver=driver,
-        seed=seed,
-        arrival_kind=arrival,
-        base_rtt_us=base_rtt_us,
-        base_rate_pps=base_rate,
-        points=points,
-    )
-
-
 @dataclass
 class ClosedSweepResult:
     """One driver's closed-loop sweep over outstanding-request counts."""
@@ -248,23 +179,3 @@ class ClosedSweepResult:
             "seed": self.seed,
             "points": [m.as_dict() for m in self.points],
         }
-
-
-def run_driver_closed_sweep(
-    driver: str,
-    outstanding: Sequence[int] = (1, 2, 4, 8),
-    seed: int = 0,
-    packets: int = 400,
-    sizes: Optional[SizeDistribution] = None,
-    profile: CalibrationProfile = PAPER_PROFILE,
-) -> ClosedSweepResult:
-    """Closed-loop sweep over the number of outstanding requests."""
-    if not outstanding:
-        raise ValueError("closed sweep needs at least one outstanding count")
-    sizes = sizes or FixedSize(64)
-    points = []
-    for n in outstanding:
-        testbed = _builder(driver)(seed=seed, profile=profile)
-        generator = ClosedLoopGenerator(outstanding=n, sizes=sizes, packets=packets)
-        points.append(testbed.run_workload(generator))
-    return ClosedSweepResult(driver=driver, seed=seed, points=points)

@@ -29,8 +29,23 @@ class TestCli:
         assert "#" in out  # histogram bars
 
     def test_claims(self, capsys):
-        assert main(["claims", "--packets", "30", "--payloads", "64"]) == 0
-        assert "claims" in capsys.readouterr().out.lower()
+        status = main(["claims", "--packets", "30", "--payloads", "64"])
+        out = capsys.readouterr().out
+        assert "claims" in out.lower()
+        # 30 samples are too few for p99.9 (it is their maximum), so a
+        # claim may fail here; the exit status must say so.
+        assert status == (1 if "[FAIL]" in out else 0)
+
+    @pytest.mark.parametrize("artifact", ["claims", "all"])
+    def test_failing_claim_exits_nonzero(self, artifact, monkeypatch, capsys):
+        from repro.core.experiments import ClaimCheck
+
+        monkeypatch.setattr(
+            "repro.cli.verify_paper_claims",
+            lambda comparison: [ClaimCheck("a claim", False, "forced")],
+        )
+        assert main([artifact, "--packets", "10", "--payloads", "64"]) == 1
+        assert "[FAIL] a claim" in capsys.readouterr().out
 
     def test_seed_flag(self, capsys):
         main(["table1", "--packets", "10", "--payloads", "64", "--seed", "9"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.experiments import run_load_sweep
 from repro.exec import (
     Cell,
     cell_seed,
@@ -18,6 +19,9 @@ from repro.exec.cells import (
     fault_cells,
     open_sweep_cells,
 )
+from repro.faults.experiments import run_fault_sweep
+from repro.guest.experiments import run_guest_sweep
+from repro.health.experiments import run_overload_sweep
 
 
 class TestSeedDerivation:
@@ -157,3 +161,33 @@ class TestRunCells:
         second = execute_cell(cell)
         assert (first.value.rtt_ps == second.value.rtt_ps).all()
         assert first.events == second.events
+
+
+class TestUnknownDriver:
+    """An unknown driver is one ValueError, raised before any cell
+    runs, on every artifact path and at any worker count."""
+
+    SWEEPS = {
+        "load": lambda jobs: run_load_sweep(
+            drivers=("nvme",), packets=10, rates=[1000], jobs=jobs
+        ),
+        "fault": lambda jobs: run_fault_sweep(
+            rates=(0.0,), packets=10, drivers=("nvme",), jobs=jobs
+        ),
+        "overload": lambda jobs: run_overload_sweep(
+            drivers=("nvme",), packets=10, jobs=jobs
+        ),
+        "guest": lambda jobs: run_guest_sweep(
+            payload_sizes=(64,), packets=10, drivers=("nvme",), jobs=jobs
+        ),
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_rejected_before_any_cell_runs(self, sweep, jobs, monkeypatch):
+        def no_cells(cells, jobs):
+            raise AssertionError(f"cells ran: {[c.label for c in cells]}")
+
+        monkeypatch.setattr("repro.exec.runner._run_cells_fresh", no_cells)
+        with pytest.raises(ValueError, match="unknown driver 'nvme'"):
+            self.SWEEPS[sweep](jobs)

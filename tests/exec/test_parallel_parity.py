@@ -48,16 +48,6 @@ class TestComparisonParity:
             f"jobs={jobs} changed the Table I artifact"
         )
 
-    def test_engine_differs_from_legacy_serial_only_by_seeding(self):
-        """The legacy serial path (shared testbed across payloads) stays
-        available as the reference when jobs is None."""
-        serial = run_comparison(payload_sizes=(64,), packets=40, seed=SEED)
-        engine = run_comparison(payload_sizes=(64,), packets=40, seed=SEED, jobs=1)
-        # Same experiment shape, same packet counts...
-        assert serial.virtio[64].packets == engine.virtio[64].packets
-        # ...but independent per-cell streams (different draws).
-        assert (serial.virtio[64].rtt_ps != engine.virtio[64].rtt_ps).any()
-
 
 class TestClaimsInParallelMode:
     def test_parallel_comparison_passes_paper_claims(self):

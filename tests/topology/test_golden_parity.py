@@ -4,13 +4,12 @@ The golden files under ``golden/`` were captured from the pre-topology
 builders (the exact commands are recorded below).  The refactor routed
 all four legacy testbed builders through
 :func:`repro.topology.builder.build_from_spec`; these tests prove the
-delegation is invisible: every artifact's JSON is byte-identical, at
-``--jobs 1`` and ``--jobs 4``.
+delegation is invisible: every artifact's JSON is byte-identical with
+``--jobs`` unset, at ``--jobs 1`` and at ``--jobs 4``.
 
-The job counts are explicit because the CLI's default (``--jobs``
-unset) takes the pre-existing serial code path, which orders some
-sub-runs differently from the cell engine; the goldens were captured
-with explicit ``-j`` for exactly that reason.
+Every artifact runs through the cell engine, and ``--jobs`` unset means
+one in-process worker, so the default output *is* the ``-j1`` output;
+the no-``-j`` case pins the command a user runs by default.
 """
 
 from __future__ import annotations
@@ -51,12 +50,13 @@ COMMANDS = {
 
 
 @pytest.mark.parametrize("golden_name", sorted(COMMANDS))
-@pytest.mark.parametrize("jobs", [1, 4])
+@pytest.mark.parametrize("jobs", [None, 1, 4])
 def test_artifact_matches_golden(golden_name, jobs, capsys):
-    argv = COMMANDS[golden_name] + ["-j", str(jobs)]
+    argv = COMMANDS[golden_name] + ([] if jobs is None else ["-j", str(jobs)])
     main(argv)  # overload may exit 1 on its verdict; bytes are what matter
     out = capsys.readouterr().out
     expected = (GOLDEN / golden_name).read_text()
+    where = "without -j" if jobs is None else f"at -j{jobs}"
     assert out == expected, (
-        f"{golden_name} diverged from the pre-topology builder at -j{jobs}"
+        f"{golden_name} diverged from the pre-topology builder {where}"
     )
