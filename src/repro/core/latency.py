@@ -169,17 +169,8 @@ def run_latency_sweep(
     testbed: Testbed,
     payload_sizes: Iterable[int] = PAPER_PAYLOAD_SIZES,
     packets: int = 2000,
-    fault_plan=None,
 ) -> SweepResult:
-    """Run the full payload sweep on either testbed.
-
-    *fault_plan* (a :class:`repro.faults.FaultPlan`) attaches an
-    injector before the sweep when the testbed does not carry one yet.
-    """
-    if fault_plan is not None and testbed.injector is None:
-        from repro.faults.injector import attach_fault_plan
-
-        attach_fault_plan(testbed, fault_plan)
+    """Run the full payload sweep on either testbed."""
     if isinstance(testbed, VirtioTestbed):
         sweep = SweepResult(driver="virtio", seed=testbed.sim.seed)
         for size in payload_sizes:

@@ -12,11 +12,11 @@ Both builders *run* the boot sequence (enumeration, driver probe) on
 the simulator so every experiment starts from a fully initialized
 machine state reached through the modeled mechanisms.
 
-Since the topology subsystem landed, these builders are thin fronts
-over :func:`repro.topology.builder.build_from_spec` with the matching
-single-endpoint :class:`~repro.topology.spec.TopologySpec` -- the
-construction path is shared with fleet topologies, and the single-device
-specs reproduce the original machines byte-identically.
+The builders are thin fronts over
+:func:`repro.topology.builder.build_from_spec` with the matching
+single-endpoint :class:`~repro.topology.spec.TopologySpec`: every
+machine, from these to a fleet pod, is built by that one construction
+sequence.  The two paper builders also attach a fault plan after boot.
 """
 
 from __future__ import annotations
@@ -84,15 +84,8 @@ class VirtioTestbed:
         (open-loop generators tail-drop when it cannot)."""
         return self.driver.tx_has_room()
 
-    def run_workload(self, generator, fault_plan: Optional["FaultPlan"] = None) -> "RunMetrics":
-        """Attach a workload generator and drive it to completion.
-
-        *fault_plan* attaches an injector first (no-op when one is
-        already attached)."""
-        if fault_plan is not None and self.injector is None:
-            from repro.faults.injector import attach_fault_plan
-
-            attach_fault_plan(self, fault_plan)
+    def run_workload(self, generator) -> "RunMetrics":
+        """Attach a workload generator and drive it to completion."""
         return generator.run(self)
 
 
@@ -114,15 +107,8 @@ class XdmaTestbed:
     def perf(self):
         return self.xdma.perf
 
-    def run_workload(self, generator, fault_plan: Optional["FaultPlan"] = None) -> "RunMetrics":
-        """Attach a workload generator and drive it to completion.
-
-        *fault_plan* attaches an injector first (no-op when one is
-        already attached)."""
-        if fault_plan is not None and self.injector is None:
-            from repro.faults.injector import attach_fault_plan
-
-            attach_fault_plan(self, fault_plan)
+    def run_workload(self, generator) -> "RunMetrics":
+        """Attach a workload generator and drive it to completion."""
         return generator.run(self)
 
 
@@ -164,14 +150,14 @@ def build_virtio_testbed(
     from repro.topology.builder import build_from_spec
     from repro.topology.spec import TopologySpec
 
-    return build_from_spec(
+    testbed = build_from_spec(
         TopologySpec.single_virtio(),
         seed=seed,
         profile=profile,
         tracer=tracer,
         user_logic=user_logic,
-        fault_plan=fault_plan,
     )
+    return _with_fault_plan(testbed, fault_plan)
 
 
 def build_xdma_testbed(
@@ -192,14 +178,23 @@ def build_xdma_testbed(
     from repro.topology.builder import build_from_spec
     from repro.topology.spec import TopologySpec
 
-    return build_from_spec(
+    testbed = build_from_spec(
         TopologySpec.single_xdma(),
         seed=seed,
         profile=profile,
         tracer=tracer,
         bram_size=bram_size,
-        fault_plan=fault_plan,
     )
+    return _with_fault_plan(testbed, fault_plan)
+
+
+def _with_fault_plan(testbed, fault_plan: Optional["FaultPlan"]):
+    """*testbed*, with an injector for *fault_plan* attached when given."""
+    if fault_plan is not None:
+        from repro.faults.injector import attach_fault_plan
+
+        attach_fault_plan(testbed, fault_plan)
+    return testbed
 
 
 def build_console_testbed(

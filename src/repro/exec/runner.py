@@ -238,14 +238,13 @@ def _cell_plan(cell: Cell):
     all of them off one pristine image.
     """
     if cell.kind == "fleet":
-        # Fleet cells boot their own multi-device testbed from the spec
-        # riding the cell, so they never touch the legacy builders.
+        # Fleet cells boot the multi-device spec riding the cell.
         from repro.topology.experiments import fleet_cell_plan
 
         return fleet_cell_plan(cell)
     if cell.kind == "guest":
-        # Guest cells boot through the topology builder (the GuestSpec
-        # decides whether a VMM interposes), not the legacy builders.
+        # Guest cells boot a single-endpoint spec whose GuestSpec
+        # decides whether a VMM interposes.
         from repro.guest.experiments import guest_cell_plan
 
         return guest_cell_plan(cell)

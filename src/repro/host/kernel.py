@@ -62,8 +62,7 @@ class HostKernel(Component):
         # Block-sampling state must exist before the ``costs`` setter
         # (which classifies the model and may invalidate multipliers).
         self._z_arr: Optional[np.ndarray] = None  # standard-normal block (cpu stream)
-        self._z_list: list = []
-        self._mults: list = []  # exp(sigma * z) per block entry (fast mode)
+        self._mults: list = []  # exp(sigma * z) per block entry
         self._z_i = 0
         self._us: list = []  # uniform block (interference stream)
         self._u_i = 0
@@ -116,32 +115,29 @@ class HostKernel(Component):
         # Classify the model for block sampling.  Blocks replay the
         # *identical* draw sequence (``rng.normal(0, s)`` equals
         # ``s * rng.standard_normal()`` draw-for-draw, and a block
-        # ``np.exp`` equals the scalar one elementwise), so fast/mixed
-        # runs are byte-identical to scalar runs.  Segments with tails
-        # interleave normals and uniforms on the cpu stream, which
-        # blocks cannot reproduce; those models use the scalar path.
+        # ``np.exp`` equals the scalar one elementwise), so fast runs
+        # are byte-identical to scalar runs.  The fast path precomputes
+        # one multiplier block, so it needs a single jitter sigma;
+        # segments with tails interleave normals and uniforms on the
+        # cpu stream, which blocks cannot reproduce.  Any other model
+        # uses the scalar path.
         segments = model.segments.values()
-        if any(m.tail_prob > 0.0 for m in segments):
+        sigmas = {m.jitter_sigma for m in segments if m.jitter_sigma > 0.0}
+        if len(sigmas) > 1 or any(m.tail_prob > 0.0 for m in segments):
             self._vector_mode = "scalar"
         else:
-            sigmas = {m.jitter_sigma for m in segments if m.jitter_sigma > 0.0}
-            if len(sigmas) <= 1:
-                self._vector_mode = "fast"
-                self._fast_sigma = sigmas.pop() if sigmas else 0.0
-                if self._z_arr is not None:
-                    # Multipliers depend on sigma: re-derive them from the
-                    # already-drawn normals so the draw sequence is intact
-                    # across a mid-run model swap.
-                    self._mults = np.exp(self._fast_sigma * self._z_arr).tolist()
-            else:
-                self._vector_mode = "mixed"
+            self._vector_mode = "fast"
+            self._fast_sigma = sigmas.pop() if sigmas else 0.0
+            if self._z_arr is not None:
+                # Multipliers depend on sigma: re-derive them from the
+                # already-drawn normals so the draw sequence is intact
+                # across a mid-run model swap.
+                self._mults = np.exp(self._fast_sigma * self._z_arr).tolist()
 
     def _refill_z(self) -> None:
         z = self._cpu_rng.standard_normal(_BLOCK)
         self._z_arr = z
-        self._z_list = z.tolist()
-        if self._vector_mode == "fast":
-            self._mults = np.exp(self._fast_sigma * z).tolist()
+        self._mults = np.exp(self._fast_sigma * z).tolist()
         self._z_i = 0
 
     def _refill_u(self) -> list:
@@ -159,27 +155,22 @@ class HostKernel(Component):
         model = self._segments.get(segment)
         if model is None:
             raise KeyError(f"no cost segment named {segment!r}")
-        mode = self._vector_mode
-        if mode == "scalar":
+        if self._vector_mode == "scalar":
             duration = model.sample(self._cpu_rng) + extra_ps
             stall = self._interference.stall_during(duration, self._interference_rng)
             if stall:
                 self.trace("preemption", segment=segment, stall_ps=stall)
             return duration + stall
-        sigma = model.jitter_sigma
-        if sigma == 0.0:
+        if model.jitter_sigma == 0.0:
             # No jitter and no tail: the scalar draw is exactly nominal.
             duration = model.nominal_ps + extra_ps
         else:
             i = self._z_i
-            if i >= len(self._z_list):
+            if i >= len(self._mults):
                 self._refill_z()
                 i = 0
             self._z_i = i + 1
-            if mode == "fast":
-                value = float(model.nominal_ps) * self._mults[i]
-            else:
-                value = float(model.nominal_ps) * float(np.exp(sigma * self._z_list[i]))
+            value = float(model.nominal_ps) * self._mults[i]
             duration = max(0, round(value)) + extra_ps
         # Blocked interference: mirrors InterferenceModel.stall_during
         # (same expressions, same draw count) on pre-drawn uniforms.

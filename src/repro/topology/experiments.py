@@ -43,7 +43,7 @@ from repro.exec.runner import CellOutcome, ExecutionStats, _stats, run_cells
 from repro.health.monitor import ConservationMonitor, HealthReport
 from repro.host.netstack.rss import flow_hash
 from repro.stats.fairness import jain_index
-from repro.topology.builder import FleetTestbed, build_fleet
+from repro.topology.builder import FleetTestbed, build_from_spec
 from repro.topology.spec import ARBITER_ROUND_ROBIN, TopologySpec
 from repro.workload.admission import AdmissionController
 from repro.workload.arrivals import make_arrivals
@@ -296,7 +296,7 @@ def run_fleet_pod(
     from repro.drivers.virtio_net import tx_queue_index
 
     if testbed is None:
-        testbed = build_fleet(config.spec(), seed=seed, profile=profile)
+        testbed = build_from_spec(config.spec(), seed=seed, profile=profile)
     sim = testbed.sim
     functions = testbed.functions
     monitor = ConservationMonitor("virtio", "fleet")
@@ -503,7 +503,7 @@ def fleet_cells(
 def fleet_cell_plan(cell: Cell):
     """``(snap_key, boot, measure)`` for a ``kind="fleet"`` cell.
 
-    ``boot`` is the pure :func:`build_fleet` of the pod's spec;
+    ``boot`` is the pure :func:`build_from_spec` of the pod's spec;
     ``measure`` drives the tenants on a booted testbed.  The snapshot
     key covers everything the boot reads: the fleet config (which
     defines the spec), the cell seed, and the profile.
@@ -516,7 +516,7 @@ def fleet_cell_plan(cell: Cell):
     )
 
     def boot() -> FleetTestbed:
-        return build_fleet(config.spec(), seed=cell.seed, profile=cell.profile)
+        return build_from_spec(config.spec(), seed=cell.seed, profile=cell.profile)
 
     def measure(testbed: FleetTestbed) -> Tuple[FleetPodReport, int]:
         report = run_fleet_pod(

@@ -20,10 +20,10 @@ The spec layers mirror the hardware hierarchy:
 * :class:`FunctionSpec` -- one (virtual) function: its virtqueue-pair
   count and its weight under a weighted DMA arbiter.
 
-The single-device, single-function, switchless spec is the *legacy*
-topology: the builder reproduces today's ``build_virtio_testbed`` /
-``build_xdma_testbed`` machines byte-identically from it (same
-component names, same construction order, same RNG streams).
+The single-device, single-function, switchless spec is the paper's
+topology: :func:`~repro.core.testbed.build_virtio_testbed` and the
+other single-device builders pass it to the same construction sequence
+that boots every fleet.
 """
 
 from __future__ import annotations
@@ -205,8 +205,9 @@ class TopologySpec:
     @property
     def is_single_legacy(self) -> bool:
         """Whether this spec names one of the paper's single-endpoint
-        machines (one device, one function, one queue pair, no switch)
-        -- the byte-identity path of the builder."""
+        machines (one device, one function, one queue pair, no switch),
+        for which the builder returns the testbed type of the device
+        kind instead of a fleet testbed."""
         return (
             len(self.devices) == 1
             and not self.switch

@@ -3,10 +3,11 @@ to the legacy scalar path.
 
 ``HostKernel.cpu`` consumes pre-drawn NumPy blocks; NumPy generators
 produce the same stream whether drawn one value at a time or in blocks,
-so every mode ("fast", "mixed") must reproduce the scalar sequence
-bit-exactly.  Models with per-segment tails interleave normals and
-uniforms on one stream, which blocks cannot replay -- those must be
-classified "scalar".
+so the "fast" mode must reproduce the scalar sequence bit-exactly.  The
+fast mode needs one jitter sigma for the whole model, and models with
+per-segment tails interleave normals and uniforms on one stream, which
+blocks cannot replay -- both kinds of model must be classified
+"scalar".
 
 The scalar reference comes from that same classification: a copy of
 the model with one extra tailed segment that is never called.  The
@@ -60,18 +61,13 @@ class TestBlockedEqualsScalar:
         b = [scalar.cpu(seg, extra_ps=extra) for seg, extra in _CALLS]
         assert a == b
 
-    def test_mixed_mode_sequence_identical(self):
+    def test_per_segment_sigma_is_scalar(self):
         model = default_cost_model()
         model.segments["udp_tx"] = replace(
             model.segments["udp_tx"], jitter_sigma=0.25
         )
-        blocked = _kernel(29, costs=model)
-        assert blocked._vector_mode == "mixed"
-        scalar = _kernel(29, costs=model, scalar=True)
-        assert scalar._vector_mode == "scalar"
-        a = [blocked.cpu(seg, extra_ps=extra) for seg, extra in _CALLS]
-        b = [scalar.cpu(seg, extra_ps=extra) for seg, extra in _CALLS]
-        assert a == b
+        kernel = _kernel(29, costs=model)
+        assert kernel._vector_mode == "scalar"
 
     def test_tailed_model_falls_back_to_scalar(self):
         model = default_cost_model()
