@@ -54,18 +54,13 @@ or virtio-mmio transport, with a trap-time column in the breakdown::
 
 Every artifact runs through the cell engine; ``--jobs/-j`` fans it out
 over a process pool (default: one in-process worker; bit-identical
-output for any worker count), and ``bench`` records the serial vs
-parallel perf trajectory::
+output for any worker count)::
 
     virtio-fpga-repro table1 --packets 50000 -j 8
-    virtio-fpga-repro bench --packets 2000 --jobs 4   # writes BENCH_<rev>.json
 
-``bench --check`` is the regression gate: it re-measures events/s
-(cpu-score normalized) and the deterministic copies-per-packet counts
-on the committed baseline's workload and exits 1 on regression::
-
-    virtio-fpga-repro bench --check
-    virtio-fpga-repro bench --check --baseline BENCH_baseline.json --tolerance 0.15
+Simulator speed is measured by ``bench/run.py`` and compared across
+revisions by ``bench/compare.py`` (see ``bench/README.md``), not by
+this CLI.
 
 ``--cache`` turns on the content-addressed result cache: cells whose
 (kind, spec, seed, code fingerprint) already have a stored outcome are
@@ -82,6 +77,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -118,7 +114,6 @@ ARTIFACTS = {
     "overload": True,
     "fleetsweep": True,
     "guestsweep": True,
-    "bench": True,
     "all": False,
 }
 
@@ -144,9 +139,7 @@ def _parser() -> argparse.ArgumentParser:
         "reliability sweep, beyond the paper; overload: overload-protection "
         "sweep/soak with conservation audit, beyond the paper; fleetsweep: "
         "E-M1 multi-tenant fleet topology sweep, beyond the paper; "
-        "guestsweep: E-V1 guest-mode latency comparison, beyond the paper; "
-        "bench: time a serial vs parallel reproduction and write "
-        "BENCH_<rev>.json)",
+        "guestsweep: E-V1 guest-mode latency comparison, beyond the paper)",
     )
     parser.add_argument(
         "--packets",
@@ -164,8 +157,7 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="fan the run's cells out over N worker processes (output is "
-        "bit-identical for any N; default: 1, in-process; bench default: "
-        "all CPUs)",
+        "bit-identical for any N; default: 1, in-process)",
     )
     parser.add_argument(
         "--payloads",
@@ -325,38 +317,6 @@ def _parser() -> argparse.ArgumentParser:
         "register block with one shared interrupt line; virtio driver "
         "only) (default: pci)",
     )
-    gate = parser.add_argument_group("bench options")
-    gate.add_argument(
-        "--check",
-        action="store_true",
-        help="regression-gate mode: re-measure events/s and copy counts "
-        "on the baseline's workload and fail (exit 1) on regression "
-        "beyond --tolerance, instead of writing a new record",
-    )
-    gate.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline record for --check (default: BENCH_baseline.json)",
-    )
-    gate.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        metavar="F",
-        help="allowed fractional events/s regression for --check, after "
-        "cpu-score normalization (default: 0.15; copy counts are gated "
-        "exactly regardless)",
-    )
-    gate.add_argument(
-        "--profile",
-        action="store_true",
-        dest="profile_hot",
-        help="run the serial bench leg under cProfile and write the "
-        "top-30 cumulative table next to the record as "
-        "BENCH_<rev>.profile.txt (record mode only; the profiled wall "
-        "is not baseline material)",
-    )
     cachegrp = parser.add_argument_group("result cache options")
     cachegrp.add_argument(
         "--cache",
@@ -404,6 +364,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"--json is not supported for {args.artifact!r} "
             f"(supported: {', '.join(JSON_ARTIFACTS)})"
         )
+    if args.packets is not None and args.packets < 1:
+        parser.error("--packets must be >= 1")
     if args.rate and any(r <= 0 for r in args.rate):
         parser.error("--rate values must be positive (packets/s)")
     if args.outstanding and any(n <= 0 for n in args.outstanding):
@@ -428,71 +390,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--vfs must be >= 1")
     if args.tenant_rate is not None and args.tenant_rate <= 0:
         parser.error("--tenant-rate must be positive (packets/s)")
-    if args.check and args.artifact != "bench":
-        parser.error("--check is a bench option")
-    if args.profile_hot and (args.artifact != "bench" or args.check):
-        parser.error("--profile is a bench record-mode option")
-    if args.tolerance is not None and not 0.0 < args.tolerance < 1.0:
-        parser.error("--tolerance must be a fraction in (0, 1)")
     if args.cache and args.no_cache:
         parser.error("--cache and --no-cache are mutually exclusive")
+    cache_dir = args.cache_dir
+    if cache_dir and os.path.exists(cache_dir) and not os.path.isdir(cache_dir):
+        parser.error(f"--cache-dir {cache_dir!r} exists and is not a directory")
 
     from repro.exec import cache as result_cache
 
     result_cache.configure(
         enabled=(args.cache or env.result_cache()) and not args.no_cache,
-        cache_dir=args.cache_dir,
+        cache_dir=cache_dir,
     )
 
     started = time.time()
-    if args.artifact == "bench" and args.check:
-        from repro.exec.bench import (
-            DEFAULT_BASELINE,
-            DEFAULT_TOLERANCE,
-            render_check,
-            run_check,
-        )
-
-        baseline = args.baseline if args.baseline is not None else DEFAULT_BASELINE
-        tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        try:
-            ok, report = run_check(
-                baseline_path=baseline, tolerance=tolerance,
-                packets=args.packets, seed=args.seed if args.seed != 0 else None,
-            )
-        except FileNotFoundError:
-            parser.error(f"baseline record not found: {baseline}")
-        if args.json:
-            _emit_json(report)
-        else:
-            print(render_check(report))
-        print(
-            f"\n[bench --check vs {baseline}, {time.time() - started:.1f}s]",
-            file=sys.stderr,
-        )
-        return 0 if ok else 1
-    if args.artifact == "bench":
-        import os
-
-        from repro.exec.bench import render_bench, run_bench
-
-        jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 2)
-        if jobs < 2:
-            parser.error("bench compares serial vs parallel; use --jobs >= 2")
-        packets = args.packets if args.packets is not None else default_packets()
-        payloads = (
-            args.payloads if args.payloads is not None else list(PAPER_PAYLOAD_SIZES)
-        )
-        record, path = run_bench(
-            packets=packets, jobs=jobs, payload_sizes=payloads, seed=args.seed,
-            profile_hot=args.profile_hot,
-        )
-        if args.json:
-            _emit_json(record)
-        else:
-            print(render_bench(record))
-        print(f"\n[bench record written to {path}]", file=sys.stderr)
-        return 0 if record["parallel_matches_serial"] else 1
     jobs = args.jobs if args.jobs is not None else 1
     if args.artifact == "loadsweep":
         packets = args.packets if args.packets is not None else default_packets(400)

@@ -49,9 +49,9 @@ def run_virtio_sweep(
     jobs: int = 1,
 ) -> SweepResult:
     """The VirtIO side of the evaluation."""
-    sweep, _ = execute_sweep(
-        "virtio", payload_sizes, packets or default_packets(), seed, profile, jobs
-    )
+    if packets is None:
+        packets = default_packets()
+    sweep, _ = execute_sweep("virtio", payload_sizes, packets, seed, profile, jobs)
     return sweep
 
 
@@ -63,9 +63,9 @@ def run_xdma_sweep(
     jobs: int = 1,
 ) -> SweepResult:
     """The XDMA side of the evaluation."""
-    sweep, _ = execute_sweep(
-        "xdma", payload_sizes, packets or default_packets(), seed, profile, jobs
-    )
+    if packets is None:
+        packets = default_packets()
+    sweep, _ = execute_sweep("xdma", payload_sizes, packets, seed, profile, jobs)
     return sweep
 
 
@@ -81,9 +81,9 @@ def run_comparison(
     Both drivers' cells share one fan-out, so the pool is loaded with
     all driver x payload cells at once.
     """
-    comparison, _ = execute_comparison(
-        payload_sizes, packets or default_packets(), seed, profile, jobs
-    )
+    if packets is None:
+        packets = default_packets()
+    comparison, _ = execute_comparison(payload_sizes, packets, seed, profile, jobs)
     return comparison
 
 
@@ -185,8 +185,10 @@ def run_load_sweep(
     :class:`repro.workload.sweep.LoadSweepResult` (or
     :class:`~repro.workload.sweep.ClosedSweepResult`).
     """
+    if packets is None:
+        packets = default_packets(400)
     results, _ = execute_load_sweep(
-        drivers=drivers, packets=packets or default_packets(400), seed=seed,
+        drivers=drivers, packets=packets, seed=seed,
         profile=profile, rates=rates, outstanding=outstanding, arrival=arrival,
         payload_sizes=payload_sizes, jobs=jobs,
     )

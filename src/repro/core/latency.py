@@ -11,6 +11,12 @@ XDMA application does ``write()``/``read()`` of the wire-equivalent
 byte count on the character device, back-to-back without an interposed
 device interrupt -- the paper's favourable-to-XDMA arrangement
 (Section IV-C).
+
+On a testbed with a guest VMM (:mod:`repro.guest`) the applications
+also snapshot the VMM's trap accumulator around each round trip, which
+gives :attr:`PayloadResult.trap_ps`.  The snapshot is a plain attribute
+read (no yield, no RNG draw), so it changes no event; on bare metal
+``trap_ps`` stays ``None``.
 """
 
 from __future__ import annotations
@@ -42,15 +48,22 @@ def _test_payload(size: int, sequence: int) -> bytes:
 
 
 def _virtio_app(
-    testbed: VirtioTestbed, payload_size: int, packets: int, rtts_ps: List[int]
+    testbed: VirtioTestbed,
+    payload_size: int,
+    packets: int,
+    rtts_ps: List[int],
+    traps_ps: List[int],
 ) -> Generator[Any, Any, None]:
     """The VirtIO test application: UDP echo round trips."""
     kernel = testbed.kernel
     socket = testbed.socket
+    vmm = testbed.vmm
     for sequence in range(packets):
         payload = _test_payload(payload_size, sequence)
         yield kernel.clock.call_cost()
         t0_ns = kernel.gettime_ns()
+        if vmm is not None:
+            trap0 = vmm.trap_ps
         yield from socket.sendto(payload, FPGA_IP, TEST_DST_PORT)
         data, _source = yield from socket.recvfrom()
         yield kernel.clock.call_cost()
@@ -60,20 +73,29 @@ def _virtio_app(
                 f"echo size mismatch: sent {payload_size}B, got {len(data)}B"
             )
         rtts_ps.append((t1_ns - t0_ns) * NS)
+        if vmm is not None:
+            traps_ps.append(vmm.trap_ps - trap0)
         yield kernel.cpu("app_work")
 
 
 def _xdma_app(
-    testbed: XdmaTestbed, transfer_size: int, packets: int, rtts_ps: List[int]
+    testbed: XdmaTestbed,
+    transfer_size: int,
+    packets: int,
+    rtts_ps: List[int],
+    traps_ps: List[int],
 ) -> Generator[Any, Any, None]:
     """The XDMA test application: write()+read() round trips."""
     kernel = testbed.kernel
     driver = testbed.driver
+    vmm = testbed.vmm
     use_poll = testbed.profile.xdma_c2h_interrupt
     for sequence in range(packets):
         payload = _test_payload(transfer_size, sequence)
         yield kernel.clock.call_cost()
         t0_ns = kernel.gettime_ns()
+        if vmm is not None:
+            trap0 = vmm.trap_ps
         written = yield from sys_write(kernel, driver, payload)
         if written != transfer_size:
             raise ExperimentError(f"short write: {written} of {transfer_size}")
@@ -85,6 +107,8 @@ def _xdma_app(
         if len(data) != transfer_size:
             raise ExperimentError(f"short read: {len(data)} of {transfer_size}")
         rtts_ps.append((t1_ns - t0_ns) * NS)
+        if vmm is not None:
+            traps_ps.append(vmm.trap_ps - trap0)
         yield kernel.cpu("app_work")
 
 
@@ -116,8 +140,9 @@ def run_virtio_payload(
     perf = testbed.perf
     perf.clear()
     rtts: List[int] = []
+    traps: List[int] = []
     app = testbed.sim.spawn(
-        _virtio_app(testbed, payload_size, packets, rtts), name="virtio-app"
+        _virtio_app(testbed, payload_size, packets, rtts, traps), name="virtio-app"
     )
     testbed.sim.run_until_triggered(app)
     strict = testbed.injector is None
@@ -130,6 +155,7 @@ def run_virtio_payload(
         rtt_ps=np.asarray(rtts, dtype=np.int64),
         hw_ps=hw,
         resp_ps=resp,
+        trap_ps=np.asarray(traps, dtype=np.int64) if testbed.vmm is not None else None,
     )
 
 
@@ -148,7 +174,10 @@ def run_xdma_payload(
     perf.clear()
     transfer = xdma_transfer_size(payload_size)
     rtts: List[int] = []
-    app = testbed.sim.spawn(_xdma_app(testbed, transfer, packets, rtts), name="xdma-app")
+    traps: List[int] = []
+    app = testbed.sim.spawn(
+        _xdma_app(testbed, transfer, packets, rtts, traps), name="xdma-app"
+    )
     testbed.sim.run_until_triggered(app)
     strict = testbed.injector is None
     hw = _collect(perf, "h2c0_dma", packets, strict) + _collect(
@@ -159,6 +188,7 @@ def run_xdma_payload(
         rtt_ps=np.asarray(rtts, dtype=np.int64),
         hw_ps=hw,
         resp_ps=np.zeros(packets, dtype=np.int64),
+        trap_ps=np.asarray(traps, dtype=np.int64) if testbed.vmm is not None else None,
     )
 
 

@@ -20,13 +20,13 @@ Key derivation
   such as the calibration profile / fault plan / overload config /
   fleet config expanded field-by-field with their type names);
 * ``code`` is the *code fingerprint*: one hash over the path and
-  source of every ``repro/**/*.py`` file except the three in
-  :data:`EXCLUDED_MODULES` (``cli.py``, ``exec/bench.py`` and this
-  module), which choose what runs and where results go but compute
-  no cell.  There is no per-kind list to keep in step with the call
-  graph, so no edit to model code can leave a key stale; the price is
-  that any such edit invalidates every entry.  Docs-only and CLI-only
-  changes invalidate nothing.
+  source of every ``repro/**/*.py`` file except the two in
+  :data:`EXCLUDED_MODULES` (``cli.py`` and this module), which choose
+  what runs and where results go but compute no cell.  There is no
+  per-kind list to keep in step with the call graph, so no edit to
+  model code can leave a key stale; the price is that any such edit
+  invalidates every entry.  Docs-only and CLI-only changes invalidate
+  nothing.
 
 The cell seed already encodes the experiment's root seed and the
 cell's spawn-key identity (:func:`repro.exec.cells.seed_identity`), so
@@ -50,8 +50,7 @@ import json
 import os
 import pickle
 import tempfile
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 #: Default on-disk location (relative to the working directory) when
 #: neither ``--cache-dir`` nor ``REPRO_CACHE_DIR`` names one.
@@ -64,7 +63,7 @@ _MAGIC = b"RPC1"
 #: ``repro`` sources outside the code fingerprint, relative to the
 #: package and ``/``-separated: they decide which cells run and where
 #: results go, never what a cell computes.
-EXCLUDED_MODULES: Tuple[str, ...] = ("cli.py", "exec/bench.py", "exec/cache.py")
+EXCLUDED_MODULES: Tuple[str, ...] = ("cli.py", "exec/cache.py")
 
 
 # -- code fingerprints ---------------------------------------------------------
@@ -264,17 +263,6 @@ def configure(
 def active_cache() -> Optional[ResultCache]:
     """The cache ``run_cells`` consults, or ``None`` when disabled."""
     return _ACTIVE
-
-
-@contextmanager
-def bypass() -> Iterator[None]:
-    """Temporarily run with no cache (bench timing legs, tests)."""
-    global _ACTIVE
-    saved, _ACTIVE = _ACTIVE, None
-    try:
-        yield
-    finally:
-        _ACTIVE = saved
 
 
 def cache_stats() -> Optional[Dict[str, Any]]:

@@ -185,7 +185,7 @@ class Cell:
 
     @property
     def label(self) -> str:
-        """Human-readable identity (progress messages, bench records)."""
+        """Human-readable identity (progress messages, benchmark check failures)."""
         if self.kind == "latency":
             return f"{self.driver}/{self.payload}B"
         if self.kind == "calibrate":

@@ -84,7 +84,7 @@ class CellOutcome:
 
 @dataclass
 class ExecutionStats:
-    """Aggregate accounting for one fan-out (feeds the bench records)."""
+    """Aggregate accounting for one fan-out."""
 
     jobs: int
     cells: int
@@ -293,10 +293,10 @@ def _warm_worker() -> None:
 
 # The warm pool: constructed on the first jobs>1 fan-out and reused by
 # every later one (``execute_load_sweep`` alone performs two fan-outs
-# per call, and the bench harness many more).  Reuse also keeps
-# worker-process caches warm across fan-outs -- imported model modules
-# and the ``lru_cache``-backed TLP segmentation plans survive from cell
-# to cell, which a throwaway executor forfeits.
+# per call).  Reuse also keeps worker-process caches warm across
+# fan-outs -- imported model modules and the ``lru_cache``-backed TLP
+# segmentation plans survive from cell to cell, which a throwaway
+# executor forfeits.
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
 

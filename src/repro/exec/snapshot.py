@@ -4,9 +4,9 @@ Booting a testbed -- device enumeration, feature negotiation, ring
 setup, the driver probe, and the ``sim.run()`` drain -- is a
 deterministic function of ``(spec, seed, profile)``, and several cell
 families deliberately share that triple: every fault rate of a
-(driver, payload) column, every repeated invocation of the comparison
-workload inside ``bench``/``bench --check``, a warm worker seeing the
-same spec across fan-outs.  Re-running the boot for each of them is
+(driver, payload) column, every repeat of one workload in a process
+(the benchmark's timed passes), a warm worker seeing the same spec
+across fan-outs.  Re-running the boot for each of them is
 pure waste; this module boots once and reuses the post-probe state.
 
 Why fork, not deepcopy

@@ -175,7 +175,7 @@ def run_fault_sweep(
     """
     from repro.exec.runner import execute_fault_sweep
 
-    count = packets or default_packets(300)
+    count = packets if packets is not None else default_packets(300)
     results, _ = execute_fault_sweep(
         rates=rates,
         payload=payload,
@@ -260,7 +260,7 @@ def run_reset_recovery(
     from repro.core.testbed import build_virtio_testbed
     from repro.faults.report import ReliabilityReport
 
-    count = packets or default_packets(300)
+    count = packets if packets is not None else default_packets(300)
     testbed = build_virtio_testbed(
         seed=seed, profile=profile, fault_plan=reset_storm_plan(every)
     )

@@ -23,153 +23,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.calibration import (
-    FPGA_IP,
-    PAPER_PAYLOAD_SIZES,
-    PAPER_PROFILE,
-    TEST_DST_PORT,
-    CalibrationProfile,
-    xdma_transfer_size,
-)
-from repro.core.latency import ExperimentError, _collect, _test_payload
+from repro.core.calibration import PAPER_PAYLOAD_SIZES, PAPER_PROFILE, CalibrationProfile
+from repro.core.latency import run_virtio_payload, run_xdma_payload
 from repro.core.results import PayloadResult, SweepResult
-from repro.core.testbed import VirtioTestbed, XdmaTestbed
 from repro.exec.cells import Cell, guest_cells
 from repro.exec.runner import ExecutionStats, _stats, run_cells
 from repro.guest.vmm import GUEST_MODES
-from repro.host.chardev import sys_poll, sys_read, sys_write
-from repro.sim.time import NS
 from repro.topology.builder import build_from_spec
 from repro.topology.spec import GuestSpec, TopologySpec
-
-
-# -- trap-accounting test applications ----------------------------------------------
-#
-# Byte-for-byte the measurement loops of repro.core.latency, plus a
-# snapshot of the VMM's trap accumulator around each round trip.  The
-# snapshots are plain attribute reads (no yields, no RNG draws), so a
-# bare run of these apps is event-identical to the originals -- the
-# property the golden-parity suite pins down.
-
-
-def _guest_virtio_app(
-    testbed: VirtioTestbed,
-    payload_size: int,
-    packets: int,
-    rtts_ps: List[int],
-    traps_ps: List[int],
-) -> Generator[Any, Any, None]:
-    kernel = testbed.kernel
-    socket = testbed.socket
-    vmm = testbed.vmm
-    for sequence in range(packets):
-        payload = _test_payload(payload_size, sequence)
-        yield kernel.clock.call_cost()
-        t0_ns = kernel.gettime_ns()
-        trap0 = vmm.trap_ps if vmm is not None else 0
-        yield from socket.sendto(payload, FPGA_IP, TEST_DST_PORT)
-        data, _source = yield from socket.recvfrom()
-        yield kernel.clock.call_cost()
-        t1_ns = kernel.gettime_ns()
-        if len(data) != payload_size:
-            raise ExperimentError(
-                f"echo size mismatch: sent {payload_size}B, got {len(data)}B"
-            )
-        rtts_ps.append((t1_ns - t0_ns) * NS)
-        traps_ps.append((vmm.trap_ps - trap0) if vmm is not None else 0)
-        yield kernel.cpu("app_work")
-
-
-def _guest_xdma_app(
-    testbed: XdmaTestbed,
-    transfer_size: int,
-    packets: int,
-    rtts_ps: List[int],
-    traps_ps: List[int],
-) -> Generator[Any, Any, None]:
-    kernel = testbed.kernel
-    driver = testbed.driver
-    vmm = testbed.vmm
-    use_poll = testbed.profile.xdma_c2h_interrupt
-    for sequence in range(packets):
-        payload = _test_payload(transfer_size, sequence)
-        yield kernel.clock.call_cost()
-        t0_ns = kernel.gettime_ns()
-        trap0 = vmm.trap_ps if vmm is not None else 0
-        written = yield from sys_write(kernel, driver, payload)
-        if written != transfer_size:
-            raise ExperimentError(f"short write: {written} of {transfer_size}")
-        if use_poll:
-            yield from sys_poll(kernel, driver)
-        data = yield from sys_read(kernel, driver, transfer_size)
-        yield kernel.clock.call_cost()
-        t1_ns = kernel.gettime_ns()
-        if len(data) != transfer_size:
-            raise ExperimentError(f"short read: {len(data)} of {transfer_size}")
-        rtts_ps.append((t1_ns - t0_ns) * NS)
-        traps_ps.append((vmm.trap_ps - trap0) if vmm is not None else 0)
-        yield kernel.cpu("app_work")
-
-
-def run_guest_virtio_payload(
-    testbed: VirtioTestbed, payload_size: int, packets: int
-) -> PayloadResult:
-    """One payload of the VirtIO ping-pong with trap accounting."""
-    if packets <= 0:
-        raise ValueError(f"packets must be positive, got {packets}")
-    perf = testbed.perf
-    perf.clear()
-    rtts: List[int] = []
-    traps: List[int] = []
-    app = testbed.sim.spawn(
-        _guest_virtio_app(testbed, payload_size, packets, rtts, traps),
-        name="virtio-app",
-    )
-    testbed.sim.run_until_triggered(app)
-    strict = testbed.injector is None
-    hw = _collect(perf, "virtio_h2c", packets, strict) + _collect(
-        perf, "virtio_c2h", packets, strict
-    )
-    resp = _collect(perf, "virtio_resp", packets, strict)
-    return PayloadResult(
-        payload=payload_size,
-        rtt_ps=np.asarray(rtts, dtype=np.int64),
-        hw_ps=hw,
-        resp_ps=resp,
-        trap_ps=np.asarray(traps, dtype=np.int64) if testbed.vmm is not None else None,
-    )
-
-
-def run_guest_xdma_payload(
-    testbed: XdmaTestbed, payload_size: int, packets: int
-) -> PayloadResult:
-    """One payload of the XDMA ping-pong with trap accounting."""
-    if packets <= 0:
-        raise ValueError(f"packets must be positive, got {packets}")
-    perf = testbed.perf
-    perf.clear()
-    transfer = xdma_transfer_size(payload_size)
-    rtts: List[int] = []
-    traps: List[int] = []
-    app = testbed.sim.spawn(
-        _guest_xdma_app(testbed, transfer, packets, rtts, traps), name="xdma-app"
-    )
-    testbed.sim.run_until_triggered(app)
-    strict = testbed.injector is None
-    hw = _collect(perf, "h2c0_dma", packets, strict) + _collect(
-        perf, "c2h0_dma", packets, strict
-    )
-    return PayloadResult(
-        payload=payload_size,
-        rtt_ps=np.asarray(rtts, dtype=np.int64),
-        hw_ps=hw,
-        resp_ps=np.zeros(packets, dtype=np.int64),
-        trap_ps=np.asarray(traps, dtype=np.int64) if testbed.vmm is not None else None,
-    )
 
 
 # -- cell worker --------------------------------------------------------------------
@@ -179,20 +42,21 @@ def guest_cell_plan(cell: Cell):
     """``(snap_key, boot, measure)`` for a ``kind="guest"`` cell.
 
     ``boot`` builds through the topology builder (the GuestSpec decides
-    whether and how a VMM interposes); ``measure`` runs the trap-
-    accounted ping-pong and collects the VMM counters.  The key covers
-    the mode and transport -- a bare boot and a trapped boot are
-    different machines even at the same seed.
+    whether and how a VMM interposes); ``measure`` runs the paper's
+    ping-pong (which records per-packet trap time whenever a VMM is
+    present) and collects the VMM counters.  The key covers the mode
+    and transport -- a bare boot and a trapped boot are different
+    machines even at the same seed.
     """
     from repro.exec.cache import spec_digest
 
     guest = GuestSpec(mode=cell.guest_mode or "bare", transport=cell.guest_transport)
     if cell.driver == "virtio":
         spec = TopologySpec.single_virtio(guest)
-        runner = run_guest_virtio_payload
+        runner = run_virtio_payload
     elif cell.driver == "xdma":
         spec = TopologySpec.single_xdma(guest)
-        runner = run_guest_xdma_payload
+        runner = run_xdma_payload
     else:
         raise ValueError(f"unknown guest-cell driver {cell.driver!r}")
     key = (

@@ -10,12 +10,15 @@ from repro.core.experiments import (
     default_packets,
     figure4,
     figure5,
+    run_comparison,
     run_load_sweep,
     run_virtio_sweep,
     run_xdma_sweep,
 )
 from repro.core.latency import run_latency_sweep, run_virtio_payload, run_xdma_payload
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
+from repro.faults.experiments import run_fault_sweep, run_reset_recovery
+from repro.workload.generator import WorkloadError
 
 
 PACKETS = 60
@@ -122,6 +125,32 @@ class TestLoadSweep:
     def test_unknown_driver_rejected(self):
         with pytest.raises(ValueError):
             run_load_sweep(drivers=("nvme",), packets=10, rates=[1000])
+
+
+#: Every experiment entry point whose packet count defaults when None.
+ZERO_PACKET_RUNS = {
+    "virtio_sweep": lambda: run_virtio_sweep([64], packets=0),
+    "xdma_sweep": lambda: run_xdma_sweep([64], packets=0),
+    "comparison": lambda: run_comparison([64], packets=0),
+    "fault_sweep": lambda: run_fault_sweep(rates=(0.0,), packets=0),
+    "reset_recovery": lambda: run_reset_recovery(packets=0),
+}
+
+
+class TestZeroPackets:
+    """0 is a packet count, not "unset": it fails instead of measuring
+    the default count under a label of 0."""
+
+    @pytest.mark.parametrize("entry", sorted(ZERO_PACKET_RUNS))
+    def test_zero_packets_raise(self, entry, monkeypatch):
+        monkeypatch.delenv("REPRO_PACKETS", raising=False)
+        with pytest.raises(ValueError, match="packets must be positive, got 0"):
+            ZERO_PACKET_RUNS[entry]()
+
+    def test_zero_packet_load_sweep_raises(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PACKETS", raising=False)
+        with pytest.raises(WorkloadError, match="packets must be positive, got 0"):
+            run_load_sweep(drivers=("virtio",), packets=0, rates=[5_000])
 
 
 class TestDefaultPackets:

@@ -7,7 +7,7 @@ snapshot boot reuse"):
   run, for any ``--jobs`` and any hit/miss mix;
 * the key covers every input -- root seed, any spec field, the source
   of any ``repro`` module a cell may execute -- and leaves out only the
-  plumbing that computes no cell (the CLI, the bench driver, the cache);
+  plumbing that computes no cell (the CLI and the cache);
 * a defective entry (truncated, corrupted, wrong magic) is a miss,
   never an error.
 """
@@ -103,6 +103,44 @@ class TestCliParity:
     def test_cache_and_no_cache_conflict(self, capsys):
         with pytest.raises(SystemExit):
             main(["table1", "--json", "--cache", "--no-cache"])
+
+
+class TestConcurrentProcesses:
+    """Two CLI processes started together on one cache directory: each
+    may miss and write any cell (``os.replace`` makes the last writer
+    win whole), both print the golden bytes, and the entries they leave
+    serve a third run entirely from disk."""
+
+    ARGV = ["table1", "--packets", "60", "--payloads", "64", "1024",
+            "--seed", "7", "--json"]
+    GOLDEN = Path(__file__).parent.parent / "topology" / "golden" / "table1.json"
+
+    def test_two_processes_share_one_cache_dir(self, tmp_path, capsys):
+        src = Path(result_cache.__file__).resolve().parent.parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = self.ARGV + ["--cache", "--cache-dir", str(tmp_path)]
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", *argv], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        try:
+            outputs = [proc.communicate(timeout=600) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()  # no-op once it has exited
+        expected = self.GOLDEN.read_text()
+        for proc, (out, err) in zip(procs, outputs):
+            assert proc.returncode == 0, err
+            assert strip_stats(out) == expected
+
+        warm = run_cli(argv, capsys)
+        stats = json.loads(warm)["cache_stats"]
+        assert stats["misses"] == 0 and stats["hits"] == 4
+        assert strip_stats(warm) == expected
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 def _cell(seed: int = 9, packets: int = 10):
