@@ -96,6 +96,7 @@ from repro.core.experiments import (
 )
 from repro.core.results import breakdown_rows
 from repro.workload.arrivals import ARRIVAL_KINDS
+from repro.workload.sizes import MAX_PAYLOAD, MIN_PAYLOAD
 from repro import env
 
 #: The artifact registry: subcommand name -> whether it has a
@@ -164,9 +165,9 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         nargs="+",
         default=None,
-        help="payload sizes in bytes (default: the paper's sweep; for "
-        "loadsweep one size is fixed traffic, several are an empirical mix; "
-        "loadsweep default: 64)",
+        help=f"payload sizes in bytes, each in [{MIN_PAYLOAD}, {MAX_PAYLOAD}] "
+        "(default: the paper's sweep; for loadsweep one size is fixed "
+        "traffic, several are an empirical mix; loadsweep default: 64)",
     )
     parser.add_argument(
         "--json",
@@ -366,6 +367,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.packets is not None and args.packets < 1:
         parser.error("--packets must be >= 1")
+    if args.payloads and any(
+        not MIN_PAYLOAD <= size <= MAX_PAYLOAD for size in args.payloads
+    ):
+        parser.error(
+            f"--payloads values must be in [{MIN_PAYLOAD}, {MAX_PAYLOAD}] bytes"
+        )
     if args.rate and any(r <= 0 for r in args.rate):
         parser.error("--rate values must be positive (packets/s)")
     if args.outstanding and any(n <= 0 for n in args.outstanding):
@@ -556,7 +563,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.guest.experiments import run_guest_sweep
 
         packets = args.packets if args.packets is not None else default_packets(500)
-        payloads = args.payloads if args.payloads is not None else [64, 1024, 8192]
+        payloads = (
+            args.payloads if args.payloads is not None else list(PAPER_PAYLOAD_SIZES)
+        )
         if args.modes:
             modes = tuple(dict.fromkeys(args.modes))  # dedupe, keep order
         elif env.guest_mode() is not None:

@@ -183,6 +183,12 @@ class Cell:
     guest_mode: Optional[str] = None  # "bare" | "trapped" | "vhost"
     guest_transport: str = "pci"  # "pci" | "mmio"
 
+    def __post_init__(self) -> None:
+        # Every factory builds its cells before any of them boots, so a
+        # bad count fails the whole run up front.
+        if self.packets < 1:
+            raise ValueError(f"packets must be positive, got {self.packets}")
+
     @property
     def label(self) -> str:
         """Human-readable identity (progress messages, benchmark check failures)."""

@@ -1,14 +1,14 @@
 """Overload protection and end-to-end conservation accounting.
 
-This package makes every queueing hop of both driver paths *bounded*
-with an explicit full-queue policy, and provides the run-level
-bookkeeping that proves no packet is ever silently lost:
+This package bounds the queueing hops of both driver paths and
+provides the run-level bookkeeping that proves no packet is ever
+silently lost:
 
-* :mod:`repro.health.bounded` -- the bounded-queue primitive every hop
-  uses (socket receive backlog, the open-loop software job queue) plus
-  the policy vocabulary (drop-with-reason, block-with-timeout,
-  reject-to-caller) and :func:`apply_overload_bounds`, which walks a
-  booted testbed and installs the configured bound at each hop;
+* :mod:`repro.health.bounded` -- the bounded-queue primitive (socket
+  receive backlog, the open-loop XDMA job queue), which tail-drops and
+  counts under a named reason, plus :func:`apply_overload_bounds`,
+  which walks a booted testbed and installs the configured bound at
+  each hop;
 * :mod:`repro.health.monitor` -- :class:`ConservationMonitor`, a
   per-run ledger asserting that every admitted packet is exactly-once
   accounted as delivered or dropped-with-reason, frozen into a
@@ -19,22 +19,11 @@ bookkeeping that proves no packet is ever silently lost:
   it sits above :mod:`repro.exec`, which this package must stay below.
 """
 
-from repro.health.bounded import (
-    POLICY_BLOCK,
-    POLICY_DROP,
-    POLICY_REJECT,
-    BoundedQueue,
-    QueueFullError,
-    apply_overload_bounds,
-)
+from repro.health.bounded import BoundedQueue, apply_overload_bounds
 from repro.health.monitor import ConservationMonitor, HealthReport
 
 __all__ = [
-    "POLICY_BLOCK",
-    "POLICY_DROP",
-    "POLICY_REJECT",
     "BoundedQueue",
-    "QueueFullError",
     "apply_overload_bounds",
     "ConservationMonitor",
     "HealthReport",

@@ -1,23 +1,13 @@
-"""Bounded queues with explicit full-queue policies.
+"""Bounded queues with counted drop reasons.
 
 Every queueing hop in the stack -- socket receive backlog, the
-open-loop generators' software job queue, the virtqueue avail ring,
-the XDMA driver's pending-request window -- either used an implicit
-bound with silent drops or no bound at all.  This module gives them a
-single primitive with a *named* policy and *counted* drop reasons, so
-overload behaviour is a configuration decision, not an accident of
-which layer fills up first.
-
-Three policies, the classic trio:
-
-* ``drop``   -- tail-drop the newest item and count it under a reason
-  (the qdisc / SO_RCVBUF behaviour; the only legal policy in softirq
-  context, where nothing may block);
-* ``block``  -- the producer waits for room, optionally bounded by a
-  timeout (the blocking-syscall behaviour);
-* ``reject`` -- refuse immediately with :class:`QueueFullError` so the
-  caller can apply its own retry/backoff discipline (the ``EAGAIN``
-  behaviour).
+open-loop generator's XDMA job queue, the virtqueue avail ring, the
+XDMA driver's pending-request window -- is bounded, and a refusal is a
+*counted* drop under a named reason, never a silent loss.
+:class:`BoundedQueue` is the primitive behind the first two: a full
+queue tail-drops the newest item and counts it (the qdisc /
+``SO_RCVBUF`` behaviour, the only one legal in softirq context, where
+nothing may block).
 
 :func:`apply_overload_bounds` installs an
 :class:`~repro.workload.admission.OverloadConfig`'s per-hop bounds onto
@@ -30,50 +20,24 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Optional
 
-#: Tail-drop the newest item, counting the drop under its reason.
-POLICY_DROP = "drop"
-#: Producer blocks until there is room (optionally with a timeout).
-POLICY_BLOCK = "block"
-#: Refuse immediately with :class:`QueueFullError`.
-POLICY_REJECT = "reject"
-
-POLICIES = (POLICY_DROP, POLICY_BLOCK, POLICY_REJECT)
-
-
-class QueueFullError(RuntimeError):
-    """A bounded queue refused an item under the ``reject`` policy."""
-
-    def __init__(self, name: str, reason: str) -> None:
-        super().__init__(f"queue {name!r} full ({reason})")
-        self.queue_name = name
-        self.reason = reason
-
 
 class BoundedQueue:
-    """A FIFO with a capacity, a policy, and per-reason drop counters.
+    """A FIFO with a capacity and per-reason drop counters.
 
-    The queue itself never blocks -- blocking needs simulator events,
-    which belong to the process that owns the queue.  ``try_push``
-    returns ``False`` (drop policy, counted) or raises
-    (:class:`QueueFullError`, reject policy) when full; callers running
-    the block policy test :meth:`has_room` and wait on their own event
-    before pushing.
+    ``try_push`` on a full queue counts the refusal and returns
+    ``False``; the queue never blocks and never raises.
     """
 
     def __init__(
         self,
         capacity: Optional[int],
         name: str = "queue",
-        policy: str = POLICY_DROP,
         drop_reason: str = "overflow",
     ) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be positive or None, got {capacity}")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r} (expected one of {POLICIES})")
         self.capacity = capacity
         self.name = name
-        self.policy = policy
         self.drop_reason = drop_reason
         self._items: Deque[Any] = deque()
         #: reason -> count of items refused at this hop.
@@ -104,17 +68,12 @@ class BoundedQueue:
         self.drops[key] = self.drops.get(key, 0) + n
 
     def try_push(self, item: Any, reason: Optional[str] = None) -> bool:
-        """Append *item* if there is room.  When full: count and return
-        ``False`` (drop policy) or raise (reject policy).  The block
-        policy also returns ``False`` -- the caller owns the waiting."""
+        """Append *item* if there is room; when full, count the drop
+        under *reason* (default: the queue's) and return ``False``."""
         if self.has_room():
             self._items.append(item)
             return True
-        if self.policy == POLICY_REJECT:
-            self.count_drop(reason)
-            raise QueueFullError(self.name, reason or self.drop_reason)
-        if self.policy == POLICY_DROP:
-            self.count_drop(reason)
+        self.count_drop(reason)
         return False
 
     def popleft(self) -> Any:
@@ -127,7 +86,7 @@ class BoundedQueue:
         cap = "inf" if self.capacity is None else str(self.capacity)
         return (
             f"<BoundedQueue {self.name} {len(self._items)}/{cap} "
-            f"policy={self.policy} dropped={self.dropped_total}>"
+            f"dropped={self.dropped_total}>"
         )
 
 
@@ -139,8 +98,9 @@ def apply_overload_bounds(testbed, config) -> None:
       refuses to expose more than ``tx_depth_limit`` chains at once);
       the netdev gets a ``can_xmit`` gate so a full ring is a counted
       qdisc drop instead of a ring exception.
-    * XDMA: the driver gets a bounded pending-request window
-      (``reject``-to-caller, the ``EAGAIN`` analogue).
+    * XDMA: the driver gets a bounded pending-request window (excess
+      requests raise ``XdmaBusyError`` to the caller, the ``EAGAIN``
+      analogue).
 
     A ``None`` bound leaves that hop exactly as it was -- applying an
     all-``None`` config is a no-op, which is what keeps zero-overload

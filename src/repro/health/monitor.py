@@ -6,7 +6,7 @@ offered packet must end in **exactly one** terminal state --
 
 * ``delivered``  -- its completion was observed,
 * ``dropped``    -- it was refused or lost *with a recorded reason*
-  (admission reject, rate limit, full queue, retries exhausted, ...).
+  (admission reject, full queue, busy driver, retries exhausted, ...).
 
 Anything else is a conservation violation: a packet delivered twice
 (duplication), a completion for a packet never admitted (ghost), or a
@@ -46,7 +46,7 @@ class HealthReport:
     delivered: int
     dropped: int
     #: reason -> packets dropped for that reason (admission rejects,
-    #: rate limiting, full queues, exhausted retries, hop losses).
+    #: full queues, busy driver, exhausted retries, hop losses).
     drop_reasons: Dict[str, int] = field(default_factory=dict)
     #: hop name -> items that hop refused (stack-side counters, for
     #: cross-checking the per-packet ledger).

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional, Tuple
 
 from repro.health.bounded import BoundedQueue
 from repro.host.netstack.stack import NetworkStack
-from repro.sim.event import Event, Timeout
+from repro.sim.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.host.kernel import HostKernel
@@ -102,40 +102,18 @@ class UdpSocket:
         yield kernel.cpu("syscall_exit")
         return len(payload)
 
-    def recvfrom(
-        self, timeout_ps: Optional[int] = None
-    ) -> Generator[Any, Any, Optional[Datagram]]:
-        """``recvfrom(fd, ...)``; blocks until a datagram arrives.
-
-        With *timeout_ps* (the ``SO_RCVTIMEO`` analogue) the wait is
-        bounded: ``None`` is returned if nothing arrived in time, so an
-        overload-aware caller can record the loss and move on instead
-        of stalling forever.  The default (no timeout) is byte-for-byte
-        the historical blocking behaviour.
-        """
+    def recvfrom(self) -> Generator[Any, Any, Datagram]:
+        """``recvfrom(fd, ...)``; blocks until a datagram arrives."""
         if self.local_port is None:
             raise SocketError("recvfrom on unbound socket (bind first)")
         kernel = self.kernel
         yield kernel.cpu("syscall_entry")
         yield kernel.cpu("sock_lookup")
-        deadline: Optional[Timeout] = None
         while not self._rx_queue:
             if self._rx_waiter is not None:
                 raise SocketError("concurrent recvfrom on one socket not supported")
             self._rx_waiter = Event(name="udp-recv")
-            if timeout_ps is None:
-                yield from kernel.block_on(self._rx_waiter)
-            else:
-                from repro.sim.event import AnyOf
-
-                deadline = kernel.sim.timeout(timeout_ps, name="udp-recv-timeout")
-                index, _ = yield AnyOf([self._rx_waiter, deadline])
-                yield kernel.cpu("task_wakeup")
-                if index == 1 and not self._rx_queue:
-                    # Timed out with nothing delivered: unhook the waiter.
-                    self._rx_waiter = None
-                    yield kernel.cpu("syscall_exit")
-                    return None
+            yield from kernel.block_on(self._rx_waiter)
         payload, source = self._rx_queue.popleft()
         yield kernel.copy(len(payload))  # copy_to_user
         yield kernel.cpu("syscall_exit")

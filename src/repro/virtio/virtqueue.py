@@ -64,8 +64,7 @@ class VirtqueueFull(VirtqueueError):
     """The queue's configured depth limit refused another chain.
 
     Distinct from plain descriptor exhaustion so callers can treat it
-    as backpressure (count a drop, apply a full-queue policy) rather
-    than a protocol violation.
+    as backpressure (count a drop) rather than a protocol violation.
     """
 
 

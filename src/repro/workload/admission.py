@@ -1,30 +1,16 @@
 """Admission control for overload-aware workload generation.
 
-Four cooperating mechanisms, all deterministic (pure arithmetic on
-simulator time -- no RNG draws, no events), so enabling them never
-perturbs a run's random streams:
+:class:`AdmissionController` bounds packets in flight end-to-end (the
+generator-level analogue of a connection window); arrivals over the
+window are ``admission_limit`` drops.  It is pure arithmetic -- no RNG
+draws, no events -- so arming it never perturbs a run's random streams.
 
-* :class:`TokenBucket` -- a classic rate limiter: tokens refill at a
-  configured rate up to a burst ceiling; each admitted packet spends
-  one.  Caps the rate at which the generator is allowed to *offer*
-  work to the stack, turning excess offered load into counted
-  ``rate_limited`` drops instead of queue growth.
-* :class:`AdmissionController` -- bounds packets in flight end-to-end
-  (the generator-level analogue of a connection window); arrivals over
-  the window are ``admission_limit`` drops.
-* :class:`RetryBudget` -- retries are paid from a budget earned as a
-  fraction of successful requests (the SRE "retry budget" rule), so a
-  failing system sees its retry traffic *shrink* instead of amplify.
-* :class:`CircuitBreaker` -- after a run of consecutive failures the
-  circuit opens and new work is refused (``circuit_open`` drops) for a
-  cooldown period; the first packet after cooldown is the half-open
-  probe that closes the circuit again on success.
-
-:class:`OverloadConfig` bundles the knobs plus the per-hop queue
-bounds; it is a frozen, picklable dataclass so it travels to pool
+:class:`OverloadConfig` bundles the window with the four per-hop queue
+bounds that :func:`repro.health.bounded.apply_overload_bounds`
+installs; it is a frozen, picklable dataclass so it travels to pool
 workers inside an exec-engine cell unchanged.  The all-``None``
-default disables every mechanism, which keeps unconfigured runs
-bit-identical to pre-overload behaviour.
+default arms nothing, which keeps unconfigured runs bit-identical to
+unprotected ones.
 """
 
 from __future__ import annotations
@@ -32,40 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.health.bounded import POLICIES, POLICY_DROP
-from repro.sim.time import ns
-
 
 @dataclass(frozen=True)
 class OverloadConfig:
-    """Overload-protection knobs for one generator run.
+    """Overload bounds for one generator run (``None`` = unbounded)."""
 
-    Every field defaults to "off"; a default-constructed config is a
-    no-op and leaves runs bit-identical to unprotected ones.
-    """
-
-    #: Max packets in flight end-to-end (None = unbounded).
+    #: Max packets in flight end-to-end.
     admission_limit: Optional[int] = None
-    #: Token-bucket refill rate in packets/s (None = no rate limit).
-    token_rate_pps: Optional[float] = None
-    #: Token-bucket burst ceiling.
-    token_burst: int = 32
-    #: Full-queue policy for generator-level hops ("drop"/"block"/"reject").
-    queue_policy: str = POLICY_DROP
-    #: Retries earned per success (0 = no retries); a rejected send may
-    #: retry while the budget is positive.
-    retry_ratio: float = 0.0
-    #: Hard cap on retries for a single packet.
-    max_retries_per_packet: int = 3
-    #: Consecutive failures that open the circuit (0 = breaker off).
-    breaker_threshold: int = 0
-    #: How long the circuit stays open before the half-open probe.
-    breaker_cooldown_ns: float = 1_000_000.0
-    #: Closed-loop receive timeout; a worker whose echo never arrives
-    #: gives up after this long instead of stalling forever (None = wait
-    #: forever, the pre-overload behaviour).
-    recv_timeout_ns: Optional[float] = None
-    # -- per-hop queue bounds (None = leave the hop as built) --
     #: Socket receive backlog, in datagrams (VirtIO path).
     socket_rx_limit: Optional[int] = None
     #: VirtIO transmit virtqueue depth limit (chains in flight).
@@ -76,66 +35,11 @@ class OverloadConfig:
     xdma_max_pending: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.queue_policy not in POLICIES:
-            raise ValueError(
-                f"unknown queue policy {self.queue_policy!r} "
-                f"(expected one of {POLICIES})"
-            )
-        if self.token_rate_pps is not None and self.token_rate_pps <= 0:
-            raise ValueError(f"token rate must be positive, got {self.token_rate_pps}")
-        if self.token_burst <= 0:
-            raise ValueError(f"token burst must be positive, got {self.token_burst}")
-        if not 0.0 <= self.retry_ratio <= 1.0:
-            raise ValueError(f"retry ratio must be in [0, 1], got {self.retry_ratio}")
         for name in ("admission_limit", "socket_rx_limit", "tx_depth_limit",
                      "xdma_queue_limit", "xdma_max_pending"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive or None, got {value}")
-
-    @property
-    def active(self) -> bool:
-        """Whether any mechanism is enabled at all."""
-        return any(
-            getattr(self, name) is not None
-            for name in ("admission_limit", "token_rate_pps", "recv_timeout_ns",
-                         "socket_rx_limit", "tx_depth_limit", "xdma_queue_limit",
-                         "xdma_max_pending")
-        ) or self.retry_ratio > 0.0 or self.breaker_threshold > 0
-
-
-class TokenBucket:
-    """Deterministic token-bucket rate limiter on simulator time."""
-
-    def __init__(self, rate_pps: float, burst: int, now_ps: int = 0) -> None:
-        if rate_pps <= 0:
-            raise ValueError(f"rate must be positive, got {rate_pps}")
-        if burst <= 0:
-            raise ValueError(f"burst must be positive, got {burst}")
-        self.rate_pps = rate_pps
-        self.burst = burst
-        self._tokens = float(burst)
-        self._last_ps = now_ps
-        self.admitted = 0
-        self.throttled = 0
-
-    def _refill(self, now_ps: int) -> None:
-        if now_ps > self._last_ps:
-            self._tokens = min(
-                float(self.burst),
-                self._tokens + (now_ps - self._last_ps) / 1e12 * self.rate_pps,
-            )
-            self._last_ps = now_ps
-
-    def try_take(self, now_ps: int) -> bool:
-        """Spend one token if available; counts the outcome."""
-        self._refill(now_ps)
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            self.admitted += 1
-            return True
-        self.throttled += 1
-        return False
 
 
 class AdmissionController:
@@ -161,79 +65,3 @@ class AdmissionController:
         """One admitted packet reached a terminal state."""
         if self.in_flight > 0:
             self.in_flight -= 1
-
-
-class RetryBudget:
-    """Retry tokens earned as a fraction of successes.
-
-    Start with a small grace allowance so cold-start failures may
-    retry; after that, each success earns ``ratio`` tokens and each
-    retry spends one -- bounding retry traffic to ``ratio`` times the
-    success rate no matter how hard the system is failing.
-    """
-
-    def __init__(self, ratio: float, grace: int = 3) -> None:
-        if not 0.0 <= ratio <= 1.0:
-            raise ValueError(f"retry ratio must be in [0, 1], got {ratio}")
-        self.ratio = ratio
-        self._tokens = float(grace)
-        self.retries_granted = 0
-        self.retries_denied = 0
-
-    def record_success(self) -> None:
-        self._tokens += self.ratio
-
-    def try_retry(self) -> bool:
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            self.retries_granted += 1
-            return True
-        self.retries_denied += 1
-        return False
-
-
-class CircuitBreaker:
-    """Consecutive-failure circuit breaker with half-open probing."""
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(self, threshold: int, cooldown_ns: float) -> None:
-        if threshold <= 0:
-            raise ValueError(f"breaker threshold must be positive, got {threshold}")
-        if cooldown_ns <= 0:
-            raise ValueError(f"breaker cooldown must be positive, got {cooldown_ns}")
-        self.threshold = threshold
-        self.cooldown_ps = ns(cooldown_ns)
-        self.state = self.CLOSED
-        self._consecutive_failures = 0
-        self._opened_at_ps = 0
-        self.opens = 0
-        self.short_circuited = 0
-
-    def allows(self, now_ps: int) -> bool:
-        """Whether a new request may proceed right now."""
-        if self.state == self.CLOSED:
-            return True
-        if self.state == self.OPEN and now_ps - self._opened_at_ps >= self.cooldown_ps:
-            self.state = self.HALF_OPEN
-            return True  # the half-open probe
-        if self.state == self.HALF_OPEN:
-            return True
-        self.short_circuited += 1
-        return False
-
-    def record_success(self) -> None:
-        self.state = self.CLOSED
-        self._consecutive_failures = 0
-
-    def record_failure(self, now_ps: int) -> None:
-        self._consecutive_failures += 1
-        if self.state == self.HALF_OPEN or (
-            self.state == self.CLOSED
-            and self._consecutive_failures >= self.threshold
-        ):
-            self.state = self.OPEN
-            self._opened_at_ps = now_ps
-            self.opens += 1

@@ -22,27 +22,26 @@ Two loop disciplines, the load-testing classics:
 Both generators run on either testbed: the VirtIO path drives UDP
 sockets through the full network stack; the XDMA path drives
 ``write()``/``read()`` pairs on the character device (with ``poll()``
-when the profile enables the C2H interrupt), dispatched to a small
-pool of service threads fed from a bounded software queue.
+when the profile enables the C2H interrupt).  The open-loop XDMA path
+dispatches to two service threads fed from a bounded software job
+queue.
 
-**Overload awareness.**  Passing an
-:class:`~repro.workload.admission.OverloadConfig` arms admission
-control (in-flight window), a token-bucket rate limiter, a retry
-budget, and a circuit breaker in front of the loops; every refused or
-abandoned packet is terminally recorded with a reason instead of
-silently vanishing or stalling a worker forever.  A
+**Overload bounds.**  An
+:class:`~repro.workload.admission.OverloadConfig` passed to the
+open-loop generator arms its end-to-end admission window
+(``admission_limit``) and sizes the XDMA job queue
+(``xdma_queue_limit``); the per-hop bounds inside the stack are
+installed on the testbed by
+:func:`~repro.health.bounded.apply_overload_bounds`.  A
 :class:`~repro.health.ConservationMonitor` may ride along to assert
 the exactly-once ledger (admitted = delivered + dropped-with-reason).
-Both hooks are pure bookkeeping on the default path: a ``None`` config
-and ``None`` monitor leave runs bit-identical to pre-overload
-behaviour (no extra yields, no RNG draws).
-
-Full-queue policy semantics at generator-level hops: ``drop`` counts
-and moves on; ``block`` waits in bounded 1 us polls and converts an
-expired wait into a ``block_timeout`` drop; ``reject`` surfaces at the
-driver layer (:class:`~repro.drivers.xdma.XdmaBusyError`) where the
-generator is the caller, so it too ends in a counted drop after the
-retry budget says no.
+Every refused or lost packet is terminally recorded with a reason:
+``admission_limit``, ``txq_full`` (full transmit ring), ``queue_full``
+(full job queue), ``driver_busy`` (the XDMA driver's pending window
+refused the call) or ``retries_exhausted`` (the XDMA driver's own
+retries ran out).  Both hooks are pure bookkeeping: a ``None`` config
+and ``None`` monitor leave runs bit-identical to unprotected ones (no
+extra yields, no RNG draws).
 """
 
 from __future__ import annotations
@@ -53,18 +52,12 @@ import numpy as np
 
 from repro.core.calibration import FPGA_IP, TEST_DST_PORT, xdma_transfer_size
 from repro.drivers.xdma import XdmaBusyError, XdmaTransferError
-from repro.health.bounded import POLICY_BLOCK, BoundedQueue
+from repro.health.bounded import BoundedQueue
 from repro.health.monitor import ConservationMonitor
 from repro.host.chardev import sys_poll, sys_read, sys_write
 from repro.sim.event import Event
-from repro.sim.time import NS, SimTime, ns
-from repro.workload.admission import (
-    AdmissionController,
-    CircuitBreaker,
-    OverloadConfig,
-    RetryBudget,
-    TokenBucket,
-)
+from repro.sim.time import NS, SimTime
+from repro.workload.admission import AdmissionController, OverloadConfig
 from repro.workload.arrivals import ArrivalProcess
 from repro.workload.metrics import RunMetrics, RunRecorder
 from repro.workload.sizes import SizeDistribution
@@ -82,20 +75,10 @@ CLOSED_LOOP_PORT_BASE = 48100
 ARRIVAL_STREAM = "workload.arrivals"
 SIZE_STREAM = "workload.sizes"
 
-#: Block-policy hops poll for room at this interval...
-BLOCK_RETRY_PS = ns(1_000.0)  # 1 us
-#: ...for at most this many polls before the wait becomes a drop.
-BLOCK_MAX_POLLS = 64
-#: Back-off before re-submitting after a driver busy-reject.
-BUSY_RETRY_PS = ns(5_000.0)  # 5 us
-
-#: Drop reasons that count as *system* failures for the circuit
-#: breaker (generator-side refusals -- rate limiting, admission, the
-#: open circuit itself -- do not re-trip the breaker).
-_BREAKER_FAILURES = frozenset(
-    {"txq_full", "queue_full", "block_timeout", "driver_busy",
-     "retries_exhausted", "recv_timeout"}
-)
+#: Open-loop XDMA: job-queue capacity unless ``xdma_queue_limit`` is set...
+XDMA_JOB_QUEUE_LIMIT = 128
+#: ...and the ``write()``/``read()`` service threads draining it.
+XDMA_SERVICE_WORKERS = 2
 
 
 class WorkloadError(RuntimeError):
@@ -122,33 +105,9 @@ def _split_counts(total: int, workers: int) -> List[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
-def _build_controls(
-    overload: Optional[OverloadConfig], now_ps: SimTime
-) -> Tuple[Optional[TokenBucket], Optional[AdmissionController],
-           Optional[CircuitBreaker], Optional[RetryBudget]]:
-    """Instantiate the armed subset of overload mechanisms."""
-    if overload is None:
-        return None, None, None, None
-    bucket = (
-        TokenBucket(overload.token_rate_pps, overload.token_burst, now_ps)
-        if overload.token_rate_pps is not None else None
-    )
-    admission = (
-        AdmissionController(overload.admission_limit)
-        if overload.admission_limit is not None else None
-    )
-    breaker = (
-        CircuitBreaker(overload.breaker_threshold, overload.breaker_cooldown_ns)
-        if overload.breaker_threshold > 0 else None
-    )
-    budget = RetryBudget(overload.retry_ratio) if overload.retry_ratio > 0 else None
-    return bucket, admission, breaker, budget
-
-
 def _drop(
     recorder: RunRecorder,
     monitor: Optional[ConservationMonitor],
-    breaker: Optional[CircuitBreaker],
     now_ps: SimTime,
     seq: int,
     reason: str,
@@ -157,20 +116,16 @@ def _drop(
     recorder.record_drop(now_ps, reason)
     if monitor is not None:
         monitor.drop(seq, reason)
-    if breaker is not None and reason in _BREAKER_FAILURES:
-        breaker.record_failure(now_ps)
 
 
-def _harvest_virtio_hops(testbed: "VirtioTestbed", sockets,
+def _harvest_virtio_hops(testbed: "VirtioTestbed", socket,
                          monitor: Optional[ConservationMonitor]) -> None:
     """Feed the stack's hop-level drop counters to the monitor so the
     end-of-run reconciliation can attribute leftover in-flight packets
     (e.g. echoes tail-dropped at the socket backlog)."""
     if monitor is None:
         return
-    monitor.note_hop_drops(
-        "socket_rx", sum(socket.rx_dropped for socket in sockets)
-    )
+    monitor.note_hop_drops("socket_rx", socket.rx_dropped)
     netdev = testbed.driver.netdev
     if netdev is not None:
         for reason, count in netdev.tx_dropped.items():
@@ -190,14 +145,11 @@ class OpenLoopGenerator:
         converts to wire-matched transfer sizes, Section IV-B).
     packets:
         Total injection attempts.
-    queue_limit:
-        XDMA only: capacity of the software job queue in front of the
-        service threads; arrivals beyond it are tail-dropped.
-    service_threads:
-        XDMA only: concurrent ``write()``/``read()`` worker threads.
     overload:
-        Optional overload-protection config (admission window, token
-        bucket, circuit breaker, retry budget, queue policy).
+        Optional overload bounds: the end-to-end admission window and,
+        XDMA only, the job-queue capacity (default
+        :data:`XDMA_JOB_QUEUE_LIMIT`; arrivals beyond it are
+        tail-dropped).
     monitor:
         Optional conservation ledger driven alongside the recorder.
     """
@@ -209,22 +161,14 @@ class OpenLoopGenerator:
         arrivals: ArrivalProcess,
         sizes: SizeDistribution,
         packets: int,
-        queue_limit: int = 128,
-        service_threads: int = 2,
         overload: Optional[OverloadConfig] = None,
         monitor: Optional[ConservationMonitor] = None,
     ) -> None:
         if packets <= 0:
             raise WorkloadError(f"packets must be positive, got {packets}")
-        if queue_limit <= 0:
-            raise WorkloadError(f"queue_limit must be positive, got {queue_limit}")
-        if service_threads <= 0:
-            raise WorkloadError(f"service_threads must be positive, got {service_threads}")
         self.arrivals = arrivals
         self.sizes = sizes
         self.packets = packets
-        self.queue_limit = queue_limit
-        self.service_threads = service_threads
         self.overload = overload
         self.monitor = monitor
 
@@ -237,6 +181,10 @@ class OpenLoopGenerator:
         if isinstance(testbed, XdmaTestbed):
             return self._run_xdma(testbed)
         raise TypeError(f"unknown testbed type {type(testbed).__name__}")
+
+    def _admission(self) -> Optional[AdmissionController]:
+        limit = self.overload.admission_limit if self.overload is not None else None
+        return AdmissionController(limit) if limit is not None else None
 
     def _draw_schedule(self, testbed) -> Tuple[np.ndarray, np.ndarray]:
         """Pre-draw gaps and sizes from the named simulator streams, so
@@ -251,8 +199,7 @@ class OpenLoopGenerator:
         sim = testbed.sim
         recorder = RunRecorder("virtio", self.mode)
         monitor = self.monitor
-        bucket, admission, breaker, _budget = _build_controls(self.overload, sim.now)
-        block = self.overload is not None and self.overload.queue_policy == POLICY_BLOCK
+        admission = self._admission()
         gaps, sizes = self._draw_schedule(testbed)
         socket = testbed.open_socket(OPEN_LOOP_PORT)
         deadlines: Dict[int, SimTime] = {}  # seq -> intended arrival instant
@@ -267,30 +214,15 @@ class OpenLoopGenerator:
                     # Fell behind the offered schedule (injector CPU is
                     # the bottleneck at this rate): inject immediately.
                     recorder.record_backpressure()
-                if breaker is not None and not breaker.allows(sim.now):
-                    _drop(recorder, monitor, breaker, sim.now, seq, "circuit_open")
-                    continue
-                if bucket is not None and not bucket.try_take(sim.now):
-                    _drop(recorder, monitor, breaker, sim.now, seq, "rate_limited")
-                    continue
                 if admission is not None and not admission.try_admit():
-                    _drop(recorder, monitor, breaker, sim.now, seq, "admission_limit")
+                    _drop(recorder, monitor, sim.now, seq, "admission_limit")
                     continue
                 if not testbed.tx_has_room():
-                    if block:
-                        polls = 0
-                        while not testbed.tx_has_room() and polls < BLOCK_MAX_POLLS:
-                            recorder.record_backpressure()
-                            polls += 1
-                            yield BLOCK_RETRY_PS
-                    if not testbed.tx_has_room():
-                        # Transmit ring full: the qdisc analogue tail-drops
-                        # (or the bounded block wait expired).
-                        if admission is not None:
-                            admission.release()
-                        reason = "block_timeout" if block else "txq_full"
-                        _drop(recorder, monitor, breaker, sim.now, seq, reason)
-                        continue
+                    # Transmit ring full: the qdisc analogue tail-drops.
+                    if admission is not None:
+                        admission.release()
+                    _drop(recorder, monitor, sim.now, seq, "txq_full")
+                    continue
                 deadlines[seq] = next_t
                 recorder.record_send(sim.now)
                 if monitor is not None:
@@ -311,14 +243,12 @@ class OpenLoopGenerator:
                     monitor.deliver(seq)
                 if admission is not None:
                     admission.release()
-                if breaker is not None:
-                    breaker.record_success()
 
         sim.spawn(collector(), name="workload-rx")
         done = sim.spawn(injector(), name="workload-tx")
         sim.run_until_triggered(done)
         sim.run()  # drain in-flight echoes
-        _harvest_virtio_hops(testbed, [socket], monitor)
+        _harvest_virtio_hops(testbed, socket, monitor)
         socket.close()
         return recorder.finish(
             offered_pps=self.arrivals.rate_pps,
@@ -335,13 +265,10 @@ class OpenLoopGenerator:
         use_poll = testbed.profile.xdma_c2h_interrupt
         recorder = RunRecorder("xdma", self.mode)
         monitor = self.monitor
-        overload = self.overload
-        bucket, admission, breaker, budget = _build_controls(overload, sim.now)
-        block = overload is not None and overload.queue_policy == POLICY_BLOCK
-        max_retries = overload.max_retries_per_packet if overload is not None else 0
-        queue_limit = self.queue_limit
-        if overload is not None and overload.xdma_queue_limit is not None:
-            queue_limit = overload.xdma_queue_limit
+        admission = self._admission()
+        queue_limit = XDMA_JOB_QUEUE_LIMIT
+        if self.overload is not None and self.overload.xdma_queue_limit is not None:
+            queue_limit = self.overload.xdma_queue_limit
         gaps, sizes = self._draw_schedule(testbed)
         # (seq, transfer bytes, intended arrival); counting stays with
         # the recorder -- the queue object only enforces the bound.
@@ -358,28 +285,14 @@ class OpenLoopGenerator:
                     yield next_t - sim.now
                 else:
                     recorder.record_backpressure()
-                if breaker is not None and not breaker.allows(sim.now):
-                    _drop(recorder, monitor, breaker, sim.now, seq, "circuit_open")
-                    continue
-                if bucket is not None and not bucket.try_take(sim.now):
-                    _drop(recorder, monitor, breaker, sim.now, seq, "rate_limited")
-                    continue
                 if admission is not None and not admission.try_admit():
-                    _drop(recorder, monitor, breaker, sim.now, seq, "admission_limit")
+                    _drop(recorder, monitor, sim.now, seq, "admission_limit")
                     continue
                 if not jobs.has_room():
-                    if block:
-                        polls = 0
-                        while not jobs.has_room() and polls < BLOCK_MAX_POLLS:
-                            recorder.record_backpressure()
-                            polls += 1
-                            yield BLOCK_RETRY_PS
-                    if not jobs.has_room():
-                        if admission is not None:
-                            admission.release()
-                        reason = "block_timeout" if block else "queue_full"
-                        _drop(recorder, monitor, breaker, sim.now, seq, reason)
-                        continue
+                    if admission is not None:
+                        admission.release()
+                    _drop(recorder, monitor, sim.now, seq, "queue_full")
+                    continue
                 jobs.try_push((seq, xdma_transfer_size(int(sizes[seq])), next_t))
                 recorder.record_send(sim.now)
                 if monitor is not None:
@@ -396,47 +309,28 @@ class OpenLoopGenerator:
                 if jobs:
                     seq, transfer, arrival = jobs.popleft()
                     payload = bytes(transfer)
-                    attempts = 0
-                    while True:
-                        try:
-                            written = yield from sys_write(kernel, driver, payload)
-                            if written != transfer:
-                                raise WorkloadError(
-                                    f"short write: {written} of {transfer}"
-                                )
-                            if use_poll:
-                                yield from sys_poll(kernel, driver)
-                            data = yield from sys_read(kernel, driver, transfer)
-                            if len(data) != transfer:
-                                raise WorkloadError(
-                                    f"short read: {len(data)} of {transfer}"
-                                )
-                        except XdmaBusyError:
-                            # Reject-to-caller from the driver's bounded
-                            # window: retry from the budget, else drop.
-                            if (budget is not None and attempts < max_retries
-                                    and budget.try_retry()):
-                                attempts += 1
-                                yield BUSY_RETRY_PS
-                                continue
-                            _drop(recorder, monitor, breaker, sim.now, seq,
-                                  "driver_busy")
-                            break
-                        except XdmaTransferError:
-                            # The driver's own retries ran out: terminal.
-                            _drop(recorder, monitor, breaker, sim.now, seq,
-                                  "retries_exhausted")
-                            break
-                        recorder.record_complete(sim.now, sim.now - arrival)
-                        if monitor is not None:
-                            monitor.deliver(seq)
-                        if admission is not None:
-                            admission.release()
-                        if breaker is not None:
-                            breaker.record_success()
-                        if budget is not None:
-                            budget.record_success()
-                        break
+                    try:
+                        written = yield from sys_write(kernel, driver, payload)
+                        if written != transfer:
+                            raise WorkloadError(f"short write: {written} of {transfer}")
+                        if use_poll:
+                            yield from sys_poll(kernel, driver)
+                        data = yield from sys_read(kernel, driver, transfer)
+                        if len(data) != transfer:
+                            raise WorkloadError(f"short read: {len(data)} of {transfer}")
+                    except XdmaBusyError:
+                        # Reject-to-caller from the driver's bounded window.
+                        _drop(recorder, monitor, sim.now, seq, "driver_busy")
+                        continue
+                    except XdmaTransferError:
+                        # The driver's own retries ran out: terminal.
+                        _drop(recorder, monitor, sim.now, seq, "retries_exhausted")
+                        continue
+                    recorder.record_complete(sim.now, sim.now - arrival)
+                    if monitor is not None:
+                        monitor.deliver(seq)
+                    if admission is not None:
+                        admission.release()
                 elif state["dispatched"]:
                     return
                 else:
@@ -446,7 +340,7 @@ class OpenLoopGenerator:
 
         workers = [
             sim.spawn(service(), name=f"workload-svc{i}")
-            for i in range(self.service_threads)
+            for i in range(XDMA_SERVICE_WORKERS)
         ]
         done = sim.spawn(dispatcher(), name="workload-dispatch")
         sim.run_until_triggered(done)
@@ -460,12 +354,7 @@ class OpenLoopGenerator:
 
 class ClosedLoopGenerator:
     """Keep exactly *outstanding* requests in flight until *packets*
-    round trips complete.
-
-    With an :class:`OverloadConfig` carrying ``recv_timeout_ns``, a
-    worker whose echo never arrives records a ``recv_timeout`` drop
-    (optionally retrying from the retry budget) and moves on instead
-    of stalling the loop forever."""
+    round trips complete."""
 
     mode = "closed"
 
@@ -474,8 +363,6 @@ class ClosedLoopGenerator:
         outstanding: int,
         sizes: SizeDistribution,
         packets: int,
-        overload: Optional[OverloadConfig] = None,
-        monitor: Optional[ConservationMonitor] = None,
     ) -> None:
         if outstanding <= 0:
             raise WorkloadError(f"outstanding must be positive, got {outstanding}")
@@ -486,8 +373,6 @@ class ClosedLoopGenerator:
         self.outstanding = outstanding
         self.sizes = sizes
         self.packets = packets
-        self.overload = overload
-        self.monitor = monitor
 
     def run(self, testbed: "VirtioTestbed | XdmaTestbed") -> RunMetrics:
         from repro.core.testbed import VirtioTestbed, XdmaTestbed
@@ -507,15 +392,6 @@ class ClosedLoopGenerator:
         sim = testbed.sim
         kernel = testbed.kernel
         recorder = RunRecorder("virtio", self.mode)
-        monitor = self.monitor
-        overload = self.overload
-        _bucket, _admission, breaker, budget = _build_controls(overload, sim.now)
-        timeout_ps: Optional[int] = None
-        max_retries = 0
-        if overload is not None:
-            if overload.recv_timeout_ns is not None:
-                timeout_ps = ns(overload.recv_timeout_ns)
-            max_retries = overload.max_retries_per_packet
         sizes = self._draw_sizes(testbed)
         counts = _split_counts(self.packets, self.outstanding)
 
@@ -529,59 +405,23 @@ class ClosedLoopGenerator:
         def worker(socket, offset: int, count: int) -> Generator[Any, Any, None]:
             # Statement-for-statement the paper's measurement loop
             # (latency.py _virtio_app): this is what makes outstanding=1
-            # reproduce the ping-pong sweep.  The timeout/retry arms add
-            # no statements to the default (overload=None) path.
+            # reproduce the ping-pong sweep.
             for k in range(count):
                 seq = offset + k
                 payload = _stamp(seq, int(sizes[seq]))
-                if breaker is not None and not breaker.allows(sim.now):
-                    _drop(recorder, monitor, breaker, sim.now, seq, "circuit_open")
-                    continue
                 recorder.record_send(sim.now)
-                if monitor is not None:
-                    monitor.admit(seq)
-                attempts = 0
-                while True:
-                    yield kernel.clock.call_cost()
-                    t0_ns = kernel.gettime_ns()
-                    yield from socket.sendto(payload, FPGA_IP, TEST_DST_PORT)
-                    if timeout_ps is None:
-                        data, _source = yield from socket.recvfrom()
-                    else:
-                        data = None
-                        while True:
-                            result = yield from socket.recvfrom(timeout_ps)
-                            if result is None:
-                                break  # timed out with nothing for us
-                            received, _source = result
-                            if _sequence_of(received) == seq:
-                                data = received
-                                break
-                            # A late echo of an earlier timed-out send:
-                            # already accounted as a drop, discard it.
-                        if data is None:
-                            if (budget is not None and attempts < max_retries
-                                    and budget.try_retry()):
-                                attempts += 1
-                                continue
-                            _drop(recorder, monitor, breaker, sim.now, seq,
-                                  "recv_timeout")
-                            break
-                    yield kernel.clock.call_cost()
-                    t1_ns = kernel.gettime_ns()
-                    if len(data) != len(payload):
-                        raise WorkloadError(
-                            f"echo size mismatch: sent {len(payload)}B, got {len(data)}B"
-                        )
-                    recorder.record_complete(sim.now, (t1_ns - t0_ns) * NS)
-                    if monitor is not None:
-                        monitor.deliver(seq)
-                    if breaker is not None:
-                        breaker.record_success()
-                    if budget is not None:
-                        budget.record_success()
-                    yield kernel.cpu("app_work")
-                    break
+                yield kernel.clock.call_cost()
+                t0_ns = kernel.gettime_ns()
+                yield from socket.sendto(payload, FPGA_IP, TEST_DST_PORT)
+                data, _source = yield from socket.recvfrom()
+                yield kernel.clock.call_cost()
+                t1_ns = kernel.gettime_ns()
+                if len(data) != len(payload):
+                    raise WorkloadError(
+                        f"echo size mismatch: sent {len(payload)}B, got {len(data)}B"
+                    )
+                recorder.record_complete(sim.now, (t1_ns - t0_ns) * NS)
+                yield kernel.cpu("app_work")
 
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         processes = [
@@ -592,7 +432,6 @@ class ClosedLoopGenerator:
         for process in processes:
             sim.run_until_triggered(process)
         sim.run()
-        _harvest_virtio_hops(testbed, sockets, monitor)
         extra = sum(socket.rx_dropped for socket in sockets)
         reasons: Dict[str, int] = {}
         for socket in sockets:
@@ -612,62 +451,38 @@ class ClosedLoopGenerator:
         driver = testbed.driver
         use_poll = testbed.profile.xdma_c2h_interrupt
         recorder = RunRecorder("xdma", self.mode)
-        monitor = self.monitor
-        overload = self.overload
-        _bucket, _admission, breaker, budget = _build_controls(overload, sim.now)
-        max_retries = overload.max_retries_per_packet if overload is not None else 0
         sizes = self._draw_sizes(testbed)
         counts = _split_counts(self.packets, self.outstanding)
 
         def worker(offset: int, count: int) -> Generator[Any, Any, None]:
-            # Statement-for-statement latency.py's _xdma_app on the
-            # default path; driver rejections end in counted drops.
+            # Statement-for-statement latency.py's _xdma_app; driver
+            # rejections end in counted drops.
             for k in range(count):
                 seq = offset + k
                 transfer = xdma_transfer_size(int(sizes[seq]))
                 payload = _stamp(seq, transfer)
-                if breaker is not None and not breaker.allows(sim.now):
-                    _drop(recorder, monitor, breaker, sim.now, seq, "circuit_open")
-                    continue
                 recorder.record_send(sim.now)
-                if monitor is not None:
-                    monitor.admit(seq)
-                attempts = 0
-                while True:
-                    yield kernel.clock.call_cost()
-                    t0_ns = kernel.gettime_ns()
-                    try:
-                        written = yield from sys_write(kernel, driver, payload)
-                        if written != transfer:
-                            raise WorkloadError(f"short write: {written} of {transfer}")
-                        if use_poll:
-                            yield from sys_poll(kernel, driver)
-                        data = yield from sys_read(kernel, driver, transfer)
-                    except XdmaBusyError:
-                        if (budget is not None and attempts < max_retries
-                                and budget.try_retry()):
-                            attempts += 1
-                            yield BUSY_RETRY_PS
-                            continue
-                        _drop(recorder, monitor, breaker, sim.now, seq, "driver_busy")
-                        break
-                    except XdmaTransferError:
-                        _drop(recorder, monitor, breaker, sim.now, seq,
-                              "retries_exhausted")
-                        break
-                    yield kernel.clock.call_cost()
-                    t1_ns = kernel.gettime_ns()
-                    if len(data) != transfer:
-                        raise WorkloadError(f"short read: {len(data)} of {transfer}")
-                    recorder.record_complete(sim.now, (t1_ns - t0_ns) * NS)
-                    if monitor is not None:
-                        monitor.deliver(seq)
-                    if breaker is not None:
-                        breaker.record_success()
-                    if budget is not None:
-                        budget.record_success()
-                    yield kernel.cpu("app_work")
-                    break
+                yield kernel.clock.call_cost()
+                t0_ns = kernel.gettime_ns()
+                try:
+                    written = yield from sys_write(kernel, driver, payload)
+                    if written != transfer:
+                        raise WorkloadError(f"short write: {written} of {transfer}")
+                    if use_poll:
+                        yield from sys_poll(kernel, driver)
+                    data = yield from sys_read(kernel, driver, transfer)
+                except XdmaBusyError:
+                    recorder.record_drop(sim.now, "driver_busy")
+                    continue
+                except XdmaTransferError:
+                    recorder.record_drop(sim.now, "retries_exhausted")
+                    continue
+                yield kernel.clock.call_cost()
+                t1_ns = kernel.gettime_ns()
+                if len(data) != transfer:
+                    raise WorkloadError(f"short read: {len(data)} of {transfer}")
+                recorder.record_complete(sim.now, (t1_ns - t0_ns) * NS)
+                yield kernel.cpu("app_work")
 
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         processes = [
@@ -677,6 +492,4 @@ class ClosedLoopGenerator:
         for process in processes:
             sim.run_until_triggered(process)
         sim.run()
-        if monitor is not None:
-            monitor.note_hop_drops("xdma_busy_rejects", driver.busy_rejects)
         return recorder.finish(outstanding=self.outstanding)

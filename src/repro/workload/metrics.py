@@ -169,8 +169,8 @@ class RunRecorder:
 
     def record_drop(self, now_ps: SimTime, reason: str = "queue_full") -> None:
         """An injection was refused, terminally, for *reason* (full
-        ring, full software queue, admission reject, rate limit,
-        exhausted retries, receive timeout, ...)."""
+        ring, full software queue, admission reject, busy driver,
+        exhausted retries, ...)."""
         self.dropped += 1
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
         self._occupancy(now_ps)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.calibration import PAPER_PAYLOAD_SIZES
 
 
 class TestCli:
@@ -183,6 +184,30 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert "--cache-dir" in err and "not a directory" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--payloads", "0"],
+        ["table1", "--payloads", "-5"],
+        ["table1", "--payloads", "64", "7"],
+        ["fig3", "--payloads", "100000"],
+        ["loadsweep", "--payloads", "2"],
+        ["overload", "--payloads", "2"],
+        ["fleetsweep", "--payloads", "2"],
+        ["guestsweep", "--payloads", "1473"],
+    ], ids=lambda argv: "-".join(argv[0:1] + argv[2:]))
+    def test_payloads_outside_range_rejected(self, argv, capsys):
+        # Past the parser, each of these is a traceback from deep inside
+        # the model (ValueError, ProcessError, OverflowError, WorkloadError).
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--packets", "5"])
+        assert excinfo.value.code == 2
+        assert "--payloads values must be in [8, 1472]" in capsys.readouterr().err
+
+    def test_payload_range_ends_accepted(self, capsys):
+        assert main(["table1", "--packets", "3", "--payloads", "8", "1472",
+                     "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["payload"] for row in rows] == [8, 1472]
+
 
 GUESTSWEEP_FAST = [
     "guestsweep", "--packets", "10", "--payloads", "64", "--seed", "7",
@@ -190,6 +215,17 @@ GUESTSWEEP_FAST = [
 
 
 class TestGuestsweepCli:
+    def test_default_payloads_are_the_paper_sweep(self, capsys):
+        # The default must run: an 8192 B payload, for one, overflows
+        # the 2048 B virtio-net TX buffers.
+        assert main(["guestsweep", "--packets", "2", "--modes", "bare",
+                     "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for driver in ("virtio", "xdma"):
+            assert list(doc["results"][driver]["bare"]) == [
+                str(size) for size in PAPER_PAYLOAD_SIZES
+            ]
+
     def test_text_output(self, capsys):
         assert main(GUESTSWEEP_FAST) == 0
         out = capsys.readouterr().out

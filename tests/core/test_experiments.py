@@ -17,8 +17,11 @@ from repro.core.experiments import (
 )
 from repro.core.latency import run_latency_sweep, run_virtio_payload, run_xdma_payload
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
+from repro.exec import runner
 from repro.faults.experiments import run_fault_sweep, run_reset_recovery
-from repro.workload.generator import WorkloadError
+from repro.guest.experiments import run_guest_sweep
+from repro.health.experiments import run_overload_soak, run_overload_sweep
+from repro.topology.experiments import run_fleet_sweep
 
 
 PACKETS = 60
@@ -127,30 +130,40 @@ class TestLoadSweep:
             run_load_sweep(drivers=("nvme",), packets=10, rates=[1000])
 
 
-#: Every experiment entry point whose packet count defaults when None.
+#: Every experiment entry point, each with a packet count of 0.
 ZERO_PACKET_RUNS = {
     "virtio_sweep": lambda: run_virtio_sweep([64], packets=0),
     "xdma_sweep": lambda: run_xdma_sweep([64], packets=0),
     "comparison": lambda: run_comparison([64], packets=0),
     "fault_sweep": lambda: run_fault_sweep(rates=(0.0,), packets=0),
     "reset_recovery": lambda: run_reset_recovery(packets=0),
+    "load_sweep_open": lambda: run_load_sweep(
+        drivers=("virtio",), packets=0, rates=[5_000]
+    ),
+    "load_sweep_closed": lambda: run_load_sweep(
+        drivers=("virtio",), packets=0, outstanding=[1]
+    ),
+    "overload_sweep": lambda: run_overload_sweep(drivers=("virtio",), packets=0),
+    "overload_soak": lambda: run_overload_soak(drivers=("virtio",), packets=0),
+    "fleet_sweep": lambda: run_fleet_sweep(pods=1, tenants=2, packets=0),
+    "guest_sweep": lambda: run_guest_sweep([64], packets=0),
 }
 
 
+def _no_cell(cell):
+    raise AssertionError(f"cell {cell.label} ran with a packet count of 0")
+
+
 class TestZeroPackets:
-    """0 is a packet count, not "unset": it fails instead of measuring
-    the default count under a label of 0."""
+    """0 is a packet count, not "unset": it fails before any cell runs,
+    instead of measuring the default count under a label of 0."""
 
     @pytest.mark.parametrize("entry", sorted(ZERO_PACKET_RUNS))
     def test_zero_packets_raise(self, entry, monkeypatch):
         monkeypatch.delenv("REPRO_PACKETS", raising=False)
+        monkeypatch.setattr(runner, "execute_cell", _no_cell)
         with pytest.raises(ValueError, match="packets must be positive, got 0"):
             ZERO_PACKET_RUNS[entry]()
-
-    def test_zero_packet_load_sweep_raises(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PACKETS", raising=False)
-        with pytest.raises(WorkloadError, match="packets must be positive, got 0"):
-            run_load_sweep(drivers=("virtio",), packets=0, rates=[5_000])
 
 
 class TestDefaultPackets:

@@ -4,15 +4,7 @@ import pytest
 
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
 from repro.drivers.virtio_net import TRANSMITQ
-from repro.health.bounded import (
-    POLICIES,
-    POLICY_BLOCK,
-    POLICY_DROP,
-    POLICY_REJECT,
-    BoundedQueue,
-    QueueFullError,
-    apply_overload_bounds,
-)
+from repro.health.bounded import BoundedQueue, apply_overload_bounds
 from repro.workload.admission import OverloadConfig
 
 
@@ -28,32 +20,13 @@ class TestBoundedQueue:
         assert q.dropped_total == 0
 
     def test_drop_policy_counts_under_reason(self):
-        q = BoundedQueue(capacity=1, name="t", policy=POLICY_DROP,
-                         drop_reason="overflow")
+        q = BoundedQueue(capacity=1, name="t", drop_reason="overflow")
         assert q.try_push(1)
         assert not q.try_push(2)
         assert not q.try_push(3, reason="custom")
         assert q.drops == {"overflow": 1, "custom": 1}
         assert q.dropped_total == 2
         assert len(q) == 1  # the resident item survived; newest was dropped
-
-    def test_reject_policy_raises_and_counts(self):
-        q = BoundedQueue(capacity=1, name="busy", policy=POLICY_REJECT,
-                         drop_reason="eagain")
-        q.try_push(1)
-        with pytest.raises(QueueFullError) as err:
-            q.try_push(2)
-        assert err.value.queue_name == "busy"
-        assert err.value.reason == "eagain"
-        assert q.drops == {"eagain": 1}
-
-    def test_block_policy_returns_false_without_counting(self):
-        # Blocking belongs to the caller (it owns the simulator events),
-        # so a full push under block is a refusal but not yet a drop.
-        q = BoundedQueue(capacity=1, policy=POLICY_BLOCK)
-        q.try_push(1)
-        assert not q.try_push(2)
-        assert q.dropped_total == 0
 
     def test_unbounded_queue_never_refuses(self):
         q = BoundedQueue(capacity=None)
@@ -72,10 +45,15 @@ class TestBoundedQueue:
         with pytest.raises(ValueError):
             BoundedQueue(capacity=capacity)
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            BoundedQueue(capacity=1, policy="linger")
-        assert set(POLICIES) == {POLICY_DROP, POLICY_BLOCK, POLICY_REJECT}
+
+class TestOverloadConfig:
+    @pytest.mark.parametrize("field", [
+        "admission_limit", "socket_rx_limit", "tx_depth_limit",
+        "xdma_queue_limit", "xdma_max_pending",
+    ])
+    def test_nonpositive_bound_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            OverloadConfig(**{field: 0})
 
 
 class TestApplyOverloadBounds:

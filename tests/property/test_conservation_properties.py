@@ -1,9 +1,9 @@
 """Property-based conservation tests (hypothesis).
 
-For *any* combination of admission window, per-hop queue bounds,
-full-queue policy, and fault rate -- on either driver -- every offered
-packet must end in exactly one terminal state: delivered, or dropped
-with a recorded reason.  This is the invariant the whole overload
+For *any* combination of admission window, per-hop queue bounds and
+fault rate -- on either driver -- every offered packet must end in
+exactly one terminal state: delivered, or dropped with a recorded
+reason.  This is the invariant the whole overload
 subsystem rests on; hypothesis searches the configuration space for a
 combination that leaks a packet.
 """
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
-from repro.health.bounded import POLICY_BLOCK, POLICY_DROP, apply_overload_bounds
+from repro.health.bounded import apply_overload_bounds
 from repro.health.monitor import ConservationMonitor
 from repro.workload.admission import OverloadConfig
 from repro.workload.arrivals import make_arrivals
@@ -28,9 +28,6 @@ maybe_small = st.one_of(st.none(), st.integers(min_value=2, max_value=64))
 def overload_configs(draw):
     return OverloadConfig(
         admission_limit=draw(maybe_small),
-        queue_policy=draw(st.sampled_from([POLICY_DROP, POLICY_BLOCK])),
-        retry_ratio=draw(st.sampled_from([0.0, 0.1])),
-        breaker_threshold=draw(st.sampled_from([0, 8])),
         socket_rx_limit=draw(maybe_small),
         tx_depth_limit=draw(maybe_small),
         xdma_queue_limit=draw(st.integers(min_value=4, max_value=64)),

@@ -40,6 +40,10 @@ COMMANDS = {
                         "--fault-rates", "0", "0.01", "--seed", "7"],
     "overload.json": ["overload", "--json", "--packets", "40",
                       "--multipliers", "0.5", "2", "--seed", "7"],
+    # E-S1: the only artifact driving the open-loop drop paths under
+    # faults (txq_full and queue_full drops on both drivers).
+    "overload_soak.json": ["overload", "--soak", "--json", "--packets", "120",
+                           "--seed", "7"],
     "fleetsweep.json": ["fleetsweep", "--json", "--pods", "2", "--tenants",
                         "4", "--packets", "20", "--seed", "7"],
     # The guest layer's backstop: the E-V1 sweep (all three modes; the

@@ -129,10 +129,6 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             OpenLoopGenerator(PoissonArrivals(1000), FixedSize(64), packets=0)
         with pytest.raises(WorkloadError):
-            OpenLoopGenerator(
-                PoissonArrivals(1000), FixedSize(64), packets=10, queue_limit=0
-            )
-        with pytest.raises(WorkloadError):
             ClosedLoopGenerator(outstanding=0, sizes=FixedSize(64), packets=10)
         with pytest.raises(WorkloadError):
             ClosedLoopGenerator(outstanding=8, sizes=FixedSize(64), packets=4)
