@@ -1,7 +1,9 @@
 """Extension: behaviour under pipelined load (beyond the paper).
 
 The paper measures one-in-flight latency only. This bench drives both
-testbeds with a window of outstanding requests and checks the expected
+testbeds with the workload engine's closed loop at a window of
+outstanding requests (``ClosedLoopGenerator(outstanding=window)``; the
+paper's ping-pong is the same loop at window 1) and checks the expected
 structural consequences of the two driver designs:
 
 * VirtIO throughput grows with the window (ring batching, independent
@@ -10,13 +12,36 @@ structural consequences of the two driver designs:
   and stays below VirtIO's packet rate at matched windows.
 """
 
+from typing import NamedTuple
+
 import pytest
 
 from benchmarks.conftest import attach_table
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
-from repro.core.throughput import run_virtio_pipelined, run_xdma_pipelined
+from repro.workload import ClosedLoopGenerator, FixedSize
 
 WINDOWS = (1, 4, 8)
+
+
+class Pipelined(NamedTuple):
+    driver: str
+    window: int
+    packets_per_second: float
+    irqs_per_packet: float
+
+
+def run_pipelined(testbed, driver: str, window: int, packets: int) -> Pipelined:
+    """Closed-loop 64 B echoes with *window* in flight: packet rate and
+    interrupts delivered per completed round trip."""
+    irqc = testbed.kernel.irqc
+    before = irqc.delivered
+    metrics = testbed.run_workload(
+        ClosedLoopGenerator(outstanding=window, sizes=FixedSize(64), packets=packets)
+    )
+    return Pipelined(
+        driver, window, metrics.achieved_pps,
+        (irqc.delivered - before) / metrics.completed,
+    )
 
 
 @pytest.mark.benchmark(group="extensions")
@@ -27,11 +52,11 @@ def test_extension_pipelined_load(benchmark, packets):
         virtio = {}
         for window in WINDOWS:
             testbed = build_virtio_testbed(seed=1)
-            virtio[window] = run_virtio_pipelined(testbed, window=window, packets=count)
+            virtio[window] = run_pipelined(testbed, "virtio", window, count)
         xdma = {}
         for window in WINDOWS[:2]:
             testbed = build_xdma_testbed(seed=1)
-            xdma[window] = run_xdma_pipelined(testbed, window=window, packets=count)
+            xdma[window] = run_pipelined(testbed, "xdma", window, count)
         return virtio, xdma
 
     virtio, xdma = benchmark.pedantic(regenerate, rounds=1, iterations=1)

@@ -18,7 +18,7 @@ from repro.core.calibration import (
     PAPER_PROFILE,
     TEST_DST_PORT,
 )
-from repro.core.latency import run_virtio_payload, run_xdma_payload
+from repro.core.latency import run_payload
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
 from repro.exec.runner import execute_comparison
 from repro.host.chardev import sys_read, sys_write
@@ -199,10 +199,7 @@ def measure_copies_per_packet(
     packets and *warmup + packets* packets) are differenced so boot,
     ring setup and first-packet ARP traffic drop out.
     """
-    build, runner = {
-        "virtio": (build_virtio_testbed, run_virtio_payload),
-        "xdma": (build_xdma_testbed, run_xdma_payload),
-    }[driver]
+    build = {"virtio": build_virtio_testbed, "xdma": build_xdma_testbed}[driver]
 
     def counted(total_packets: int) -> Dict[str, int]:
         testbed = build(seed=0)
@@ -216,7 +213,7 @@ def measure_copies_per_packet(
                 return _original(*args, **kwargs)
 
             setattr(mem, name, wrapper)  # instance attr shadows the class method
-        runner(testbed, payload, total_packets)
+        run_payload(testbed, payload, total_packets)
         return counts
 
     base = counted(warmup)

@@ -166,8 +166,9 @@ def _parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         help=f"payload sizes in bytes, each in [{MIN_PAYLOAD}, {MAX_PAYLOAD}] "
-        "(default: the paper's sweep; for loadsweep one size is fixed "
-        "traffic, several are an empirical mix; loadsweep default: 64)",
+        "(default: the paper's sweep; for loadsweep and overload one size "
+        "is fixed traffic, several are an empirical mix, default 64; "
+        "faultsweep and fleetsweep take one size, default 64)",
     )
     parser.add_argument(
         "--json",
@@ -373,6 +374,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(
             f"--payloads values must be in [{MIN_PAYLOAD}, {MAX_PAYLOAD}] bytes"
         )
+    if args.payloads and len(args.payloads) > 1 and args.artifact in (
+        "faultsweep", "fleetsweep"
+    ):
+        parser.error(f"{args.artifact} takes one --payloads size")
     if args.rate and any(r <= 0 for r in args.rate):
         parser.error("--rate values must be positive (packets/s)")
     if args.outstanding and any(n <= 0 for n in args.outstanding):

@@ -17,8 +17,7 @@ from repro.core.calibration import (
 from repro.core.latency import (
     ExperimentError,
     run_latency_sweep,
-    run_virtio_payload,
-    run_xdma_payload,
+    run_payload,
 )
 from repro.core.results import (
     BreakdownRow,
@@ -60,7 +59,6 @@ __all__ = [
     "build_xdma_testbed",
     "render_breakdown",
     "run_latency_sweep",
-    "run_virtio_payload",
-    "run_xdma_payload",
+    "run_payload",
     "xdma_transfer_size",
 ]

@@ -157,7 +157,7 @@ class Cell:
       ``fault_rate`` / ``fault_plan``);
     * ``"soak"`` -- one driver's three-phase overload soak on a single
       testbed (uses ``rate_pps`` as the measured base rate plus
-      ``overload`` and ``fault_rate``);
+      ``overload``, ``fault_rate`` and ``payload_sizes``);
     * ``"fleet"`` -- one pod of the E-M1 tenant-fleet sweep (uses
       ``pod`` plus the ``fleet`` config; ``packets`` is per tenant);
     * ``"guest"`` -- one (driver, guest mode, payload) ping-pong
@@ -395,6 +395,7 @@ def soak_cells(
     profile: CalibrationProfile = PAPER_PROFILE,
     overload: Optional[object] = None,
     fault_rate: Optional[float] = None,
+    payload_sizes: Sequence[int] = (64,),
 ) -> list[Cell]:
     """One three-phase soak cell per driver (E-S1); ``base_rates`` maps
     driver -> measured base rate in pps."""
@@ -403,6 +404,7 @@ def soak_cells(
             kind="soak",
             driver=driver,
             rate_pps=base_rates[driver],
+            payload_sizes=tuple(payload_sizes),
             packets=packets,
             profile=profile,
             overload=overload,

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.calibration import PAPER_PROFILE, CalibrationProfile
-from repro.core.latency import run_virtio_payload, run_xdma_payload
+from repro.core.latency import run_payload
 from repro.core.results import ComparisonResult, SweepResult
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
 from repro.exec import cache as result_cache
@@ -122,10 +122,17 @@ def execute_cell(cell: Cell) -> CellOutcome:
     Cyclic GC is suspended for the duration of the cell: the model
     allocates heavily but the testbed graph is alive until the cell
     ends, so collection passes mid-run only burn time.  Everything the
-    cell built is reclaimed by refcounting (plus the next automatic
-    collection) once it returns.  The GIL switch interval is widened
-    likewise -- cells are single-threaded, so the default 5 ms
-    round-robin checks are pure eval-loop overhead.
+    cell built is reclaimed by refcounting, and its cyclic garbage --
+    all of it in the youngest generation, since nothing was collected
+    while the cell ran -- by one generation-0 collection as the cell
+    ends.  Without it, a run of in-process cells would keep every
+    finished cell's cycles until the last one ends: the next cell
+    disables GC again before any automatic collection can run.  (The
+    one long-lived cyclic garbage, a dropped boot snapshot, is
+    collected where :mod:`repro.exec.snapshot` drops it.)  The GIL
+    switch interval is widened likewise -- cells are single-threaded,
+    so the default 5 ms round-robin checks are pure eval-loop
+    overhead.
     """
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
@@ -138,6 +145,7 @@ def execute_cell(cell: Cell) -> CellOutcome:
         sys.setswitchinterval(switch_interval)
         if gc_was_enabled:
             gc.enable()
+            gc.collect(0)
 
 
 def _measure_cell(cell: Cell, testbed: Any) -> Tuple[Any, int]:
@@ -146,8 +154,7 @@ def _measure_cell(cell: Cell, testbed: Any) -> Tuple[Any, int]:
     testbed (cold path) or inside a snapshot fork (stamped path), so it
     must never rely on parent-process side effects."""
     if cell.kind == "latency":
-        runner = run_virtio_payload if cell.driver == "virtio" else run_xdma_payload
-        value: Any = runner(testbed, cell.payload, cell.packets)
+        value: Any = run_payload(testbed, cell.payload, cell.packets)
     elif cell.kind == "calibrate":
         generator = ClosedLoopGenerator(
             outstanding=1, sizes=_make_sizes(cell.payload_sizes),
@@ -208,6 +215,7 @@ def _measure_cell(cell: Cell, testbed: Any) -> Tuple[Any, int]:
             overload=cell.overload,
             fault_rate=cell.fault_rate,
             seed=cell.seed,
+            payload_sizes=cell.payload_sizes,
         )
     elif cell.kind == "faultlat":
         from repro.faults.injector import attach_fault_plan
@@ -218,8 +226,7 @@ def _measure_cell(cell: Cell, testbed: Any) -> Tuple[Any, int]:
         if plan is None:
             plan = driver_fault_plan(cell.driver, cell.fault_rate or 0.0)
         attach_fault_plan(testbed, plan)
-        runner = run_virtio_payload if cell.driver == "virtio" else run_xdma_payload
-        result = runner(testbed, cell.payload, cell.packets)
+        result = run_payload(testbed, cell.payload, cell.packets)
         report = ReliabilityReport.collect(testbed, fault_rate=cell.fault_rate)
         value = (result, report.as_dict())
     else:

@@ -34,8 +34,9 @@ cell keys occur exactly once (latency cells all have distinct seeds).
 The registry therefore keeps nothing until a key repeats: the first
 use runs cold, the second boots and *keeps* the pristine image
 (stamping the measurement off it), and every later use stamps straight
-from the image -- a *boot reuse*.  Images are capped by an LRU; any
-transport failure (no ``fork``, unpicklable result) falls back to the
+from the image -- a *boot reuse*.  Images are capped by an LRU, and
+an evicted or reset image is garbage-collected at once; any transport
+failure (no ``fork``, unpicklable result) falls back to the
 cold path, never to an error.  The registry is per-process: each warm
 pool worker accumulates its own images, which survive across fan-outs
 exactly like the worker's module caches.
@@ -46,6 +47,7 @@ cold, the pre-snapshot behavior).
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import struct
@@ -93,6 +95,14 @@ def reset() -> None:
     _BROKEN.clear()
     _LOCAL_REUSES = 0
     _PARENT_REUSES = 0
+    _collect_dropped_images()
+
+
+def _collect_dropped_images() -> None:
+    """Reclaim dropped images now: each is a cyclic object graph that
+    has long since reached the oldest GC generation, which the
+    generation-0 collection ending every cell never reaches."""
+    gc.collect()
 
 
 def local_reuses() -> int:
@@ -166,6 +176,7 @@ def _keep(key: str, testbed: Any) -> None:
     _PRISTINE.move_to_end(key)
     while len(_PRISTINE) > MAX_SNAPSHOTS:
         _PRISTINE.popitem(last=False)
+        _collect_dropped_images()
 
 
 def _read_exact(fd: int, count: int) -> bytes:

@@ -256,7 +256,7 @@ def run_reset_recovery(
     interrupt), reset, renegotiate, and replay pending TX without
     losing a packet -- the run only completes if every echo arrives.
     """
-    from repro.core.latency import run_virtio_payload
+    from repro.core.latency import run_payload
     from repro.core.testbed import build_virtio_testbed
     from repro.faults.report import ReliabilityReport
 
@@ -264,7 +264,7 @@ def run_reset_recovery(
     testbed = build_virtio_testbed(
         seed=seed, profile=profile, fault_plan=reset_storm_plan(every)
     )
-    payload_result = run_virtio_payload(testbed, payload, count)
+    payload_result = run_payload(testbed, payload, count)
     report = ReliabilityReport.collect(testbed)
     summary = payload_result.rtt_summary()
     result = ResetRecoveryResult(

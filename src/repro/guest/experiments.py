@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.calibration import PAPER_PAYLOAD_SIZES, PAPER_PROFILE, CalibrationProfile
-from repro.core.latency import run_virtio_payload, run_xdma_payload
+from repro.core.latency import run_payload
 from repro.core.results import PayloadResult, SweepResult
 from repro.exec.cells import Cell, guest_cells
 from repro.exec.runner import ExecutionStats, _stats, run_cells
@@ -53,10 +53,8 @@ def guest_cell_plan(cell: Cell):
     guest = GuestSpec(mode=cell.guest_mode or "bare", transport=cell.guest_transport)
     if cell.driver == "virtio":
         spec = TopologySpec.single_virtio(guest)
-        runner = run_virtio_payload
     elif cell.driver == "xdma":
         spec = TopologySpec.single_xdma(guest)
-        runner = run_xdma_payload
     else:
         raise ValueError(f"unknown guest-cell driver {cell.driver!r}")
     key = (
@@ -68,7 +66,7 @@ def guest_cell_plan(cell: Cell):
         return build_from_spec(spec, seed=cell.seed, profile=cell.profile)
 
     def measure(testbed) -> Tuple[Tuple[PayloadResult, Dict[str, Any]], int]:
-        result = runner(testbed, cell.payload, cell.packets)
+        result = run_payload(testbed, cell.payload, cell.packets)
         stats = dict(testbed.vmm.stats) if testbed.vmm is not None else {}
         return (result, stats), testbed.sim.events_executed
 

@@ -11,8 +11,8 @@ nothing may block).
 
 :func:`apply_overload_bounds` installs an
 :class:`~repro.workload.admission.OverloadConfig`'s per-hop bounds onto
-a booted testbed: socket receive limits, the virtio transmit ring's
-depth limit, and the XDMA driver's pending window.
+a booted testbed: the virtio transmit ring's depth limit and the XDMA
+driver's pending window.
 """
 
 from __future__ import annotations
@@ -93,11 +93,12 @@ class BoundedQueue:
 def apply_overload_bounds(testbed, config) -> None:
     """Install *config*'s per-hop bounds onto a booted testbed.
 
-    * VirtIO: the measurement socket(s) get the receive-backlog bound;
-      the transmit virtqueue gets an avail-ring depth limit (the driver
-      refuses to expose more than ``tx_depth_limit`` chains at once);
-      the netdev gets a ``can_xmit`` gate so a full ring is a counted
-      qdisc drop instead of a ring exception.
+    * VirtIO: the transmit virtqueue gets an avail-ring depth limit
+      (the driver refuses to expose more than ``tx_depth_limit`` chains
+      at once); the netdev gets a ``can_xmit`` gate so a full ring is a
+      counted qdisc drop instead of a ring exception.  The
+      receive-backlog bound (``socket_rx_limit``) belongs to the socket
+      the open-loop flow opens, so the generator installs it there.
     * XDMA: the driver gets a bounded pending-request window (excess
       requests raise ``XdmaBusyError`` to the caller, the ``EAGAIN``
       analogue).
@@ -109,8 +110,6 @@ def apply_overload_bounds(testbed, config) -> None:
     from repro.core.testbed import VirtioTestbed, XdmaTestbed
 
     if isinstance(testbed, VirtioTestbed):
-        if config.socket_rx_limit is not None:
-            testbed.socket.rx_queue_limit = config.socket_rx_limit
         driver = testbed.driver
         if config.tx_depth_limit is not None:
             from repro.drivers.virtio_net import TRANSMITQ

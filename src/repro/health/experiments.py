@@ -284,7 +284,7 @@ def run_overload_soak(
         outcome.cell.driver: outcome.value[1] for outcome in cal_outcomes
     }
     cells = soak_cells(drivers, base_rates, packets, seed, profile,
-                       overload, fault_rate)
+                       overload, fault_rate, payload_sizes)
     outcomes = run_cells(cells, jobs)
     results = {outcome.cell.driver: outcome.value for outcome in outcomes}
     all_outcomes = list(cal_outcomes) + list(outcomes)

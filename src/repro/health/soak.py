@@ -26,14 +26,14 @@ machines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.health.monitor import ConservationMonitor, HealthReport
 from repro.workload.admission import OverloadConfig
 from repro.workload.arrivals import make_arrivals
 from repro.workload.generator import OpenLoopGenerator
 from repro.workload.metrics import RunMetrics
-from repro.workload.sizes import FixedSize
+from repro.workload.sizes import make_sizes
 
 #: (phase name, offered rate as a multiple of the base rate).
 SOAK_PHASES = (("baseline", 0.5), ("overload", 8.0), ("recovery", 0.5))
@@ -159,10 +159,14 @@ def run_soak_on(
     overload: Optional[OverloadConfig] = None,
     fault_rate: Optional[float] = None,
     seed: int = 0,
-    payload: int = 64,
+    payload_sizes: Sequence[int] = (64,),
     arrival: str = "poisson",
 ) -> SoakResult:
-    """Run the three-phase soak on an already-booted *testbed*."""
+    """Run the three-phase soak on an already-booted *testbed*.
+
+    Every phase draws its sizes from *payload_sizes* the way the load
+    sweeps do (one size is fixed traffic, several an empirical mix).
+    """
     if base_rate_pps <= 0:
         raise ValueError(f"base rate must be positive, got {base_rate_pps}")
     if fault_rate:
@@ -182,7 +186,7 @@ def run_soak_on(
         monitor = ConservationMonitor(driver, "open")
         generator = OpenLoopGenerator(
             arrivals=make_arrivals(arrival, rate),
-            sizes=FixedSize(payload),
+            sizes=make_sizes(list(payload_sizes)),
             packets=packets,
             overload=overload,
             monitor=monitor,

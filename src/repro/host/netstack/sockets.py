@@ -8,7 +8,7 @@ costs around the stack work.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Tuple
 
 from repro.health.bounded import BoundedQueue
 from repro.host.netstack.stack import NetworkStack
@@ -39,6 +39,9 @@ class UdpSocket:
         )
         self._rx_waiter: Optional[Event] = None
         self.rx_enqueued = 0
+        #: Called once per datagram the full backlog tail-drops (an
+        #: open-loop flow returns the lost packet's admission slot).
+        self.on_rx_drop: Optional[Callable[[], None]] = None
 
     def bind(self, port: int) -> None:
         """Bind the local port (registers with the stack's UDP demux)."""
@@ -83,6 +86,8 @@ class UdpSocket:
         if not isinstance(payload, bytes):
             payload = bytes(payload)
         if not self._rx_queue.try_push((payload, source)):
+            if self.on_rx_drop is not None:
+                self.on_rx_drop()
             return
         self.rx_enqueued += 1
         if self._rx_waiter is not None:

@@ -7,6 +7,10 @@ virtual functions, all behind a shared-uplink PCIe switch.  Each pod
 hosts a set of *tenants* -- independent open-loop UDP flows, one per
 tenant, assigned round-robin across the pod's functions and kept on
 one queue pair by RSS (distinct source ports make distinct flows).
+Each tenant is the workload engine's
+:class:`~repro.workload.generator.VirtioFlow` with its own socket,
+arrival stream, admission window and
+:class:`~repro.workload.metrics.RunRecorder`.
 
 Every tenant runs under the PR-4 overload machinery: a per-tenant
 admission window, a bounded socket receive backlog, TX avail-ring
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +51,8 @@ from repro.topology.builder import FleetTestbed, build_from_spec
 from repro.topology.spec import ARBITER_ROUND_ROBIN, TopologySpec
 from repro.workload.admission import AdmissionController
 from repro.workload.arrivals import make_arrivals
-from repro.workload.generator import _sequence_of, _stamp
+from repro.workload.generator import VirtioFlow, note_virtio_hops
+from repro.workload.metrics import RunRecorder
 
 #: First UDP source port of the tenant sockets (above the workload
 #: engine's open/closed-loop ranges, so the ports never collide).
@@ -315,8 +320,7 @@ def run_fleet_pod(
 
     arrivals = make_arrivals(config.arrival, config.rate_pps)
     t0 = sim.now
-    sockets = []
-    tenant_rows: List[Dict[str, Any]] = []
+    flows: List[Tuple[Any, int, VirtioFlow]] = []  # (function, queue pair, flow)
     done_events = []
     for tenant in range(config.tenants):
         function = functions[tenant % len(functions)]
@@ -324,77 +328,52 @@ def run_fleet_pod(
         socket = testbed.open_socket(src_port)
         if config.socket_rx_limit is not None:
             socket.rx_queue_limit = config.socket_rx_limit
-        sockets.append(socket)
         pair = tenant_queue_pair(
             function.host_ip, function.fpga_ip, src_port, function.spec.queue_pairs
         )
-        lane = f"{function.lane}/q{pair}"
         gaps = arrivals.intervals(
             sim.rng(TENANT_ARRIVAL_STREAM.format(tenant=tenant)), packets
         )
-        admission = AdmissionController(config.admission_limit)
-        row: Dict[str, Any] = {
-            "tenant": tenant,
-            "function": function,
-            "lane": lane,
-            "pair": pair,
-            "offered": 0,
-            "dropped": 0,
-            "deadlines": {},
-            "latencies": [],
-        }
-        tenant_rows.append(row)
-        done_events.append(
-            sim.spawn(
-                _tenant_injector(
-                    sim, testbed, monitor, row, socket, gaps, admission,
-                    packets, config.payload, base_seq=tenant * packets,
-                ),
-                name=f"fleet-tx-t{tenant}",
-            )
+        flow = VirtioFlow(
+            sim, socket, RunRecorder("virtio", "open"), gaps, [config.payload] * packets,
+            has_room=function.driver.tx_has_room, dst_ip=function.fpga_ip,
+            admission=AdmissionController(config.admission_limit), monitor=monitor,
+            lane=f"{function.lane}/q{pair}", first_seq=tenant * packets,
         )
-        sim.spawn(
-            _tenant_collector(sim, monitor, row, socket, admission),
-            name=f"fleet-rx-t{tenant}",
-        )
+        flows.append((function, pair, flow))
+        done_events.append(sim.spawn(flow.injector(), name=f"fleet-tx-t{tenant}"))
+        sim.spawn(flow.collector(), name=f"fleet-rx-t{tenant}")
 
     for done in done_events:
         sim.run_until_triggered(done)
     sim.run()  # drain in-flight echoes across all tenants
 
     # Hop-side evidence for the ledger reconciliation.
-    monitor.note_hop_drops("socket_rx", sum(s.rx_dropped for s in sockets))
-    for function in functions:
-        netdev = function.driver.netdev
-        if netdev is not None:
-            for reason, count in netdev.tx_dropped.items():
-                monitor.note_hop_drops(f"netdev_tx:{reason}", count)
-        monitor.note_hop_drops(
-            "virtqueue_depth", function.driver.tx_depth_rejects()
-        )
-    for socket in sockets:
-        socket.close()
-    health = monitor.finalize()
-
+    note_virtio_hops(
+        monitor, [flow.socket for _, _, flow in flows], [f.driver for f in functions]
+    )
     span_s = max(sim.now - t0, 1) / 1e12
     tenants: List[TenantStats] = []
-    for row in tenant_rows:
-        latencies = np.asarray(row["latencies"], dtype=np.float64)
-        delivered = int(latencies.size)
+    for tenant, (function, pair, flow) in enumerate(flows):
+        metrics = flow.finish()
+        latencies = metrics.latency_ps.astype(np.float64)
         tenants.append(
             TenantStats(
-                tenant=row["tenant"],
-                function=row["function"].index,
-                lane=row["lane"],
-                queue_pair=row["pair"],
-                offered=row["offered"],
-                delivered=delivered,
-                dropped=row["dropped"],
-                goodput_pps=delivered / span_s,
-                p50_us=float(np.percentile(latencies, 50)) / 1e6 if delivered else 0.0,
-                p99_us=float(np.percentile(latencies, 99)) / 1e6 if delivered else 0.0,
+                tenant=tenant,
+                function=function.index,
+                lane=flow.lane,
+                queue_pair=pair,
+                # Every attempt was sent or refused at injection; an echo
+                # the backlog dropped was sent, and counts as dropped too.
+                offered=metrics.offered_total - flow.socket.rx_dropped,
+                delivered=metrics.completed,
+                dropped=metrics.dropped,
+                goodput_pps=metrics.completed / span_s,
+                p50_us=float(np.percentile(latencies, 50)) / 1e6 if latencies.size else 0.0,
+                p99_us=float(np.percentile(latencies, 99)) / 1e6 if latencies.size else 0.0,
             )
         )
+    health = monitor.finalize()
     return FleetPodReport(
         pod=pod,
         seed=seed,
@@ -410,66 +389,6 @@ def run_fleet_pod(
         },
         events=sim.events_executed,
     )
-
-
-def _tenant_injector(
-    sim,
-    testbed: FleetTestbed,
-    monitor: ConservationMonitor,
-    row: Dict[str, Any],
-    socket,
-    gaps,
-    admission: AdmissionController,
-    packets: int,
-    payload: int,
-    base_seq: int,
-) -> Generator[Any, Any, None]:
-    """Open-loop injection for one tenant (the generator's VirtIO
-    injector, with per-tenant admission and lane-tagged bookkeeping)."""
-    function = row["function"]
-    lane = row["lane"]
-    next_t = sim.now
-    for i in range(packets):
-        seq = base_seq + i
-        next_t += int(gaps[i])
-        if sim.now < next_t:
-            yield next_t - sim.now
-        row["offered"] += 1
-        if not admission.try_admit():
-            monitor.drop(seq, "admission_limit", lane=lane)
-            row["dropped"] += 1
-            continue
-        if not function.driver.tx_has_room():
-            # qdisc-style tail drop; the admission slot is returned.
-            admission.release()
-            monitor.drop(seq, "txq_full", lane=lane)
-            row["dropped"] += 1
-            continue
-        row["deadlines"][seq] = next_t
-        monitor.admit(seq, lane=lane)
-        yield from socket.sendto(
-            _stamp(seq, payload), function.fpga_ip, TEST_DST_PORT
-        )
-
-
-def _tenant_collector(
-    sim,
-    monitor: ConservationMonitor,
-    row: Dict[str, Any],
-    socket,
-    admission: AdmissionController,
-) -> Generator[Any, Any, None]:
-    """Match echoes back to injections; latency is completion minus the
-    *intended* arrival instant (no coordinated omission)."""
-    while True:
-        data, _source = yield from socket.recvfrom()
-        seq = _sequence_of(data)
-        arrival = row["deadlines"].pop(seq, None)
-        if arrival is None:
-            raise RuntimeError(f"echo completion for unknown sequence {seq}")
-        row["latencies"].append(sim.now - arrival)
-        monitor.deliver(seq)
-        admission.release()
 
 
 # -- cells + sweep ---------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Workload engine: traffic generation and load-sweep experiments.
 
-The paper (and :mod:`repro.core.latency`) measures ping-pong round
-trips -- exactly one request in flight.  This package adds the *offered
-load* axis the ping-pong layer cannot express:
+The paper measures ping-pong round trips -- exactly one request in
+flight.  That loop is this package's closed loop at N=1
+(:mod:`repro.core.latency` adds the FPGA counter collection around it);
+the package also adds the *offered load* axis the ping-pong cannot
+express:
 
 * :mod:`repro.workload.arrivals` -- seeded arrival processes
   (deterministic rate, Poisson, bursty on-off MMPP),
 * :mod:`repro.workload.sizes` -- payload-size distributions over the
   paper's 64 B - 1 KB operating points,
-* :mod:`repro.workload.generator` -- an open-loop generator that
-  injects at an offered rate regardless of completions, and a
-  closed-loop generator with N outstanding requests (N=1 degenerates
-  to the paper's ping-pong loop, a built-in consistency check),
+* :mod:`repro.workload.generator` -- the only code that issues
+  traffic: an open-loop generator that injects at an offered rate
+  regardless of completions (its VirtIO flow also carries every fleet
+  tenant), and a closed-loop generator with N outstanding requests
+  (N=1 is the paper's ping-pong, N=window the pipelined-load
+  extension),
 * :mod:`repro.workload.metrics` -- per-run accounting: achieved
   throughput, in-flight occupancy time series, drop/backpressure
   counts, latency samples feeding the ``stats`` percentile machinery,

@@ -6,8 +6,9 @@ window are ``admission_limit`` drops.  It is pure arithmetic -- no RNG
 draws, no events -- so arming it never perturbs a run's random streams.
 
 :class:`OverloadConfig` bundles the window with the four per-hop queue
-bounds that :func:`repro.health.bounded.apply_overload_bounds`
-installs; it is a frozen, picklable dataclass so it travels to pool
+bounds: the open-loop generator bounds its own socket backlog and XDMA
+job queue, :func:`repro.health.bounded.apply_overload_bounds` installs
+the other two.  It is a frozen, picklable dataclass so it travels to pool
 workers inside an exec-engine cell unchanged.  The all-``None``
 default arms nothing, which keeps unconfigured runs bit-identical to
 unprotected ones.

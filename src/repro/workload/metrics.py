@@ -51,6 +51,9 @@ class RunMetrics:
     #: reason -> count for every drop folded into ``dropped``; empty
     #: only when no packet was lost.
     drop_reasons: Dict[str, int]
+    #: Closed loop under a guest VMM: world-switch time per completed
+    #: round trip (``None`` on bare metal and in the open loop).
+    trap_ps: Optional[np.ndarray] = None
 
     @property
     def duration_us(self) -> float:
@@ -185,12 +188,14 @@ class RunRecorder:
         outstanding: Optional[int] = None,
         extra_drops: int = 0,
         extra_drop_reasons: Optional[Dict[str, int]] = None,
+        trap_ps: Optional[List[int]] = None,
     ) -> RunMetrics:
         """Freeze into a :class:`RunMetrics`.
 
         ``extra_drops`` folds in losses counted outside the recorder
         (e.g. the UDP socket's SO_RCVBUF tail drops);
-        ``extra_drop_reasons`` carries their per-reason breakdown.
+        ``extra_drop_reasons`` carries their per-reason breakdown;
+        ``trap_ps`` is the closed loop's per-round-trip VMM trap time.
         """
         duration = 0
         if self._first_send_ps is not None and self._last_event_ps is not None:
@@ -213,4 +218,5 @@ class RunRecorder:
             occupancy_t_ps=np.asarray(self._occ_t, dtype=np.int64),
             occupancy_n=np.asarray(self._occ_n, dtype=np.int64),
             drop_reasons=reasons,
+            trap_ps=np.asarray(trap_ps, dtype=np.int64) if trap_ps is not None else None,
         )

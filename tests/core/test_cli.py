@@ -208,6 +208,34 @@ class TestArgumentValidation:
         rows = json.loads(capsys.readouterr().out)["rows"]
         assert [row["payload"] for row in rows] == [8, 1472]
 
+    @pytest.mark.parametrize("artifact", ["faultsweep", "fleetsweep"])
+    def test_single_payload_artifacts_reject_several(self, artifact, capsys):
+        # Both measure one size; the rest used to be ignored without a word.
+        with pytest.raises(SystemExit) as excinfo:
+            main([artifact, "--packets", "5", "--payloads", "64", "1024"])
+        assert excinfo.value.code == 2
+        assert f"{artifact} takes one --payloads size" in capsys.readouterr().err
+
+    def test_soak_runs_the_payload_mix(self, monkeypatch, capsys):
+        # The soak calibrates on the --payloads mix; its phases must
+        # draw from the same mix, not run at 64 B.
+        from repro.health import soak
+        from repro.workload.sizes import EmpiricalMix
+
+        seen = []
+        real = soak.OpenLoopGenerator
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["sizes"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(soak, "OpenLoopGenerator", spy)
+        main(["overload", "--soak", "--packets", "20", "--payloads", "64", "1024",
+              "--json"])
+        capsys.readouterr()
+        assert len(seen) == 6  # three phases x two drivers
+        assert all(sizes == EmpiricalMix((64, 1024)) for sizes in seen)
+
 
 GUESTSWEEP_FAST = [
     "guestsweep", "--packets", "10", "--payloads", "64", "--seed", "7",

@@ -15,7 +15,7 @@ from repro.core.experiments import (
     run_virtio_sweep,
     run_xdma_sweep,
 )
-from repro.core.latency import run_latency_sweep, run_virtio_payload, run_xdma_payload
+from repro.core.latency import run_latency_sweep, run_payload
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
 from repro.exec import runner
 from repro.faults.experiments import run_fault_sweep, run_reset_recovery
@@ -81,7 +81,7 @@ class TestSweeps:
     def test_invalid_packet_count(self):
         testbed = build_virtio_testbed(seed=1)
         with pytest.raises(ValueError):
-            run_virtio_payload(testbed, 64, 0)
+            run_payload(testbed, 64, 0)
 
 
 class TestReproducibility:

@@ -1,23 +1,7 @@
-"""Unit-level tests for the timeline and throughput result types."""
+"""Unit-level tests for the timeline result type."""
 
-import pytest
-
-from repro.core.throughput import ThroughputResult
 from repro.core.timeline import Timeline, _NARRATION
 from repro.sim.trace import TraceRecord
-
-
-class TestThroughputResult:
-    def make(self):
-        return ThroughputResult(
-            driver="virtio", window=4, packets=200, duration_us=10_000.0, irqs=200
-        )
-
-    def test_packets_per_second(self):
-        assert self.make().packets_per_second == pytest.approx(20_000.0)
-
-    def test_irqs_per_packet(self):
-        assert self.make().irqs_per_packet == pytest.approx(1.0)
 
 
 class TestTimeline:

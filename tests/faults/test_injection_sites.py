@@ -255,13 +255,12 @@ class TestSustainedFaultTraffic:
 
     @pytest.mark.parametrize("driver", ["virtio", "xdma"])
     def test_sustained_traffic_recovers(self, driver):
-        from repro.core.latency import run_virtio_payload, run_xdma_payload
+        from repro.core.latency import run_payload
         from repro.faults.plan import driver_fault_plan
 
         build = build_virtio_testbed if driver == "virtio" else build_xdma_testbed
         testbed = build(seed=61, fault_plan=driver_fault_plan(driver, 0.05))
-        runner = run_virtio_payload if driver == "virtio" else run_xdma_payload
-        result = runner(testbed, 64, 60)
+        result = run_payload(testbed, 64, 60)
         assert result.packets == 60
         assert testbed.injector.total_injected >= 1
         assert getattr(testbed.driver, "requests_failed", 0) == 0

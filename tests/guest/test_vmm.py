@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.latency import run_virtio_payload, run_xdma_payload
+from repro.core.latency import run_payload
 from repro.guest import GUEST_MODES, Vmm
 from repro.topology.builder import build_from_spec
 from repro.topology.spec import GuestSpec, TopologySpec
@@ -21,8 +21,7 @@ def _build(driver: str, mode: str, transport: str = "pci", seed: int = 7):
 
 def _mean_rtt(driver: str, mode: str, transport: str = "pci", packets: int = 60):
     testbed = _build(driver, mode, transport)
-    run = run_virtio_payload if driver == "virtio" else run_xdma_payload
-    result = run(testbed, 64, packets)
+    result = run_payload(testbed, 64, packets)
     return float(np.mean(result.rtt_ps)), testbed
 
 
@@ -56,7 +55,7 @@ class TestTrapAccounting:
         testbed = _build("virtio", "trapped")
         boot_exits = testbed.vmm.vmexits
         assert boot_exits > 0  # the probe's register programming trapped
-        run_virtio_payload(testbed, 64, 5)
+        run_payload(testbed, 64, 5)
         assert testbed.vmm.vmexits > boot_exits
         assert testbed.vmm.irq_injects >= 5  # one RX interrupt per packet
         assert testbed.vmm.vhost_doorbells == 0
@@ -65,7 +64,7 @@ class TestTrapAccounting:
     def test_vhost_fast_path_bypasses_full_traps(self):
         testbed = _build("virtio", "vhost")
         before = testbed.vmm.vmexits
-        run_virtio_payload(testbed, 64, 5)
+        run_payload(testbed, 64, 5)
         # Data-path doorbells took the ioeventfd shortcut, not vmexits.
         assert testbed.vmm.vhost_doorbells >= 5
         assert testbed.vmm.vhost_irq_injects >= 5
@@ -107,8 +106,7 @@ class TestBareByteIdentity:
     def test_bare_equals_no_guest(self, driver):
         with_spec = _build(driver, "bare")
         without = _build(driver, "none")
-        run = run_virtio_payload if driver == "virtio" else run_xdma_payload
-        a = run(with_spec, 64, 10)
-        b = run(without, 64, 10)
+        a = run_payload(with_spec, 64, 10)
+        b = run_payload(without, 64, 10)
         assert (a.rtt_ps == b.rtt_ps).all()
         assert (a.hw_ps == b.hw_ps).all()

@@ -1,11 +1,14 @@
-"""Unit tests for the bounded-queue primitive and per-hop bound wiring."""
+"""Unit tests for the bounded-queue primitive, per-hop bound wiring,
+and the open-loop flow's overload accounting."""
 
 import pytest
 
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
 from repro.drivers.virtio_net import TRANSMITQ
 from repro.health.bounded import BoundedQueue, apply_overload_bounds
-from repro.workload.admission import OverloadConfig
+from repro.workload import FixedSize, OpenLoopGenerator, PoissonArrivals
+from repro.workload import generator as generator_module
+from repro.workload.admission import AdmissionController, OverloadConfig
 
 
 class TestBoundedQueue:
@@ -60,8 +63,11 @@ class TestApplyOverloadBounds:
     def test_virtio_bounds_installed(self):
         testbed = build_virtio_testbed(seed=1)
         config = OverloadConfig(socket_rx_limit=32, tx_depth_limit=16)
+        before = testbed.socket.rx_queue_limit
         apply_overload_bounds(testbed, config)
-        assert testbed.socket.rx_queue_limit == 32
+        # The backlog bound belongs to the open-loop flow's own socket
+        # (TestOpenLoopOverloadAccounting), not the ping-pong socket.
+        assert testbed.socket.rx_queue_limit == before
         assert testbed.driver.transport.queue(TRANSMITQ).depth_limit == 16
         assert testbed.driver.netdev.can_xmit == testbed.driver.tx_has_room
 
@@ -83,3 +89,59 @@ class TestApplyOverloadBounds:
     def test_unknown_testbed_type_rejected(self):
         with pytest.raises(TypeError):
             apply_overload_bounds(object(), OverloadConfig())
+
+
+@pytest.fixture
+def admissions(monkeypatch):
+    """Every admission window the open-loop generator creates."""
+    made = []
+
+    class Recorded(AdmissionController):
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    monkeypatch.setattr(generator_module, "AdmissionController", Recorded)
+    return made
+
+
+class TestOpenLoopOverloadAccounting:
+    """An admitted packet returns its admission slot however it ends:
+    delivered, refused by the XDMA driver, or lost at the socket."""
+
+    def test_xdma_driver_rejects_return_their_slots(self, admissions):
+        testbed = build_xdma_testbed(seed=1)
+        config = OverloadConfig(admission_limit=4, xdma_max_pending=1,
+                                xdma_queue_limit=64)
+        apply_overload_bounds(testbed, config)
+        metrics = OpenLoopGenerator(
+            PoissonArrivals(200_000), FixedSize(64), packets=200, overload=config
+        ).run(testbed)
+        assert metrics.drop_reasons.get("driver_busy", 0) > 0
+        assert admissions[0].in_flight == 0
+
+    def test_tail_dropped_echoes_return_their_slots(self, admissions):
+        testbed = build_virtio_testbed(seed=2)
+        open_socket = testbed.open_socket
+
+        def one_datagram_backlog(port):
+            socket = open_socket(port)
+            socket.rx_queue_limit = 1
+            return socket
+
+        testbed.open_socket = one_datagram_backlog
+        metrics = OpenLoopGenerator(
+            PoissonArrivals(60_000), FixedSize(64), packets=200,
+            overload=OverloadConfig(admission_limit=3),
+        ).run(testbed)
+        assert metrics.drop_reasons.get("socket_rx_overflow", 0) > 0
+        assert admissions[0].in_flight == 0
+
+    def test_socket_bound_reaches_the_flow_socket(self):
+        testbed = build_virtio_testbed(seed=1)
+        config = OverloadConfig(socket_rx_limit=1)
+        apply_overload_bounds(testbed, config)
+        metrics = OpenLoopGenerator(
+            PoissonArrivals(300_000), FixedSize(64), packets=300, overload=config
+        ).run(testbed)
+        assert metrics.drop_reasons.get("socket_rx_overflow", 0) > 0

@@ -1,5 +1,5 @@
 """Tests for the spec-feature extensions: indirect descriptors, the
-virtio-net control queue, the throughput experiment, and timelines."""
+virtio-net control queue, pipelined load, and timelines."""
 
 import dataclasses
 
@@ -11,9 +11,9 @@ from repro.core.testbed import (
     build_virtio_testbed,
     build_xdma_testbed,
 )
-from repro.core.throughput import run_virtio_pipelined, run_xdma_pipelined
 from repro.core.timeline import capture_virtio_timeline, capture_xdma_timeline
 from repro.virtio.constants import VIRTIO_F_RING_INDIRECT_DESC, VIRTIO_NET_F_CTRL_VQ
+from repro.workload import ClosedLoopGenerator, FixedSize
 
 
 class TestIndirectDescriptors:
@@ -110,24 +110,28 @@ class TestControlQueue:
 
 
 class TestThroughput:
+    """Pipelined load is the closed loop with a window of requests in
+    flight."""
+
+    @staticmethod
+    def _run(testbed, window, packets):
+        return testbed.run_workload(
+            ClosedLoopGenerator(outstanding=window, sizes=FixedSize(64), packets=packets)
+        )
+
     def test_virtio_scales_with_window(self):
         results = {}
         for window in (1, 4):
             testbed = build_virtio_testbed(seed=64)
-            results[window] = run_virtio_pipelined(testbed, window=window, packets=80)
-        assert results[4].packets_per_second > results[1].packets_per_second
+            results[window] = self._run(testbed, window, 80)
+        assert results[4].achieved_pps > results[1].achieved_pps
 
     def test_xdma_two_irqs_per_packet(self):
         testbed = build_xdma_testbed(seed=64)
-        result = run_xdma_pipelined(testbed, window=2, packets=40)
-        assert result.irqs_per_packet == pytest.approx(2.0, abs=0.1)
-
-    def test_invalid_window_rejected(self):
-        testbed = build_virtio_testbed(seed=64)
-        with pytest.raises(ValueError):
-            run_virtio_pipelined(testbed, window=0, packets=10)
-        with pytest.raises(ValueError):
-            run_virtio_pipelined(testbed, window=20, packets=10)
+        before = testbed.kernel.irqc.delivered
+        metrics = self._run(testbed, 2, 40)
+        irqs = testbed.kernel.irqc.delivered - before
+        assert irqs / metrics.completed == pytest.approx(2.0, abs=0.1)
 
 
 class TestTimeline:

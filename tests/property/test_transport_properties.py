@@ -15,7 +15,7 @@ pins down.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.latency import run_virtio_payload
+from repro.core.latency import run_payload
 from repro.topology.builder import build_from_spec
 from repro.topology.spec import GuestSpec, TopologySpec
 
@@ -46,7 +46,7 @@ def _ring_traffic(testbed):
 def _run(transport: str, payload: int, packets: int, seed: int):
     guest = GuestSpec(mode="bare", transport=transport)
     testbed = build_from_spec(TopologySpec.single_virtio(guest), seed=seed)
-    result = run_virtio_payload(testbed, payload, packets)
+    result = run_payload(testbed, payload, packets)
     return result, _ring_traffic(testbed)
 
 

@@ -96,11 +96,11 @@ class TestResetMidTraffic:
         """Repeated malformed-chain resets *during* a measurement run:
         every echo still arrives (the run only completes if it does)
         and no request is abandoned."""
-        from repro.core.latency import run_virtio_payload
+        from repro.core.latency import run_payload
 
         packets = 60
         testbed = build_virtio_testbed(seed=89, fault_plan=reset_storm_plan(15))
-        result = run_virtio_payload(testbed, 64, packets)
+        result = run_payload(testbed, 64, packets)
         driver = testbed.driver
         assert result.packets == packets
         assert driver.device_resets >= 2
@@ -114,16 +114,16 @@ class TestResetMidTraffic:
     def test_reset_storm_median_latency_stays_calibrated(self):
         """Resets inflate the tail, not the body: the median round trip
         under a sparse reset storm stays close to fault-free."""
-        from repro.core.latency import run_virtio_payload
+        from repro.core.latency import run_payload
 
         packets = 60
         clean = build_virtio_testbed(seed=91)
         clean_median = np.median(
-            run_virtio_payload(clean, 64, packets).adjusted_rtt_ps
+            run_payload(clean, 64, packets).adjusted_rtt_ps
         )
         stormy = build_virtio_testbed(seed=91, fault_plan=reset_storm_plan(20))
         storm_median = np.median(
-            run_virtio_payload(stormy, 64, packets).adjusted_rtt_ps
+            run_payload(stormy, 64, packets).adjusted_rtt_ps
         )
         assert stormy.driver.device_resets >= 1
         assert storm_median <= clean_median * 1.3

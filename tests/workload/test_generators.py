@@ -4,8 +4,11 @@ ping-pong loop, and open-loop accounting invariants."""
 import numpy as np
 import pytest
 
-from repro.core.latency import run_latency_sweep
+from repro.core.latency import ExperimentError, run_latency_sweep, run_payload
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
+from repro.faults.plan import driver_fault_plan
+from repro.topology.builder import build_from_spec
+from repro.topology.spec import GuestSpec, TopologySpec
 from repro.workload import (
     ClosedLoopGenerator,
     FixedSize,
@@ -16,25 +19,42 @@ from repro.workload import (
 
 
 class TestClosedLoopCalibration:
-    """ISSUE acceptance: closed-loop N=1 reproduces the ping-pong sweep."""
+    """The paper's ping-pong is the closed loop at N=1: the latency
+    runner adds only the counter collection, so its round trips are the
+    closed loop's, sample for sample."""
 
     def test_virtio_n1_matches_ping_pong_mean(self):
         sweep = run_latency_sweep(build_virtio_testbed(seed=0), [64], packets=150)
         metrics = build_virtio_testbed(seed=0).run_workload(
             ClosedLoopGenerator(outstanding=1, sizes=FixedSize(64), packets=150)
         )
-        pingpong = float(sweep[64].rtt_ps.mean())
-        closed = float(metrics.latency_ps.mean())
-        assert closed == pytest.approx(pingpong, rel=0.05)
+        assert np.array_equal(metrics.latency_ps, sweep[64].rtt_ps)
 
     def test_xdma_n1_matches_ping_pong_mean(self):
         sweep = run_latency_sweep(build_xdma_testbed(seed=0), [64], packets=150)
         metrics = build_xdma_testbed(seed=0).run_workload(
             ClosedLoopGenerator(outstanding=1, sizes=FixedSize(64), packets=150)
         )
-        pingpong = float(sweep[64].rtt_ps.mean())
-        closed = float(metrics.latency_ps.mean())
-        assert closed == pytest.approx(pingpong, rel=0.05)
+        assert np.array_equal(metrics.latency_ps, sweep[64].rtt_ps)
+
+    def test_trapped_guest_n1_matches_ping_pong(self):
+        def trapped():
+            spec = TopologySpec.single_virtio(GuestSpec(mode="trapped"))
+            return build_from_spec(spec, seed=4)
+
+        result = run_payload(trapped(), 256, 60)
+        metrics = trapped().run_workload(
+            ClosedLoopGenerator(outstanding=1, sizes=FixedSize(256), packets=60)
+        )
+        assert np.array_equal(metrics.latency_ps, result.rtt_ps)
+        assert result.trap_ps is not None and (result.trap_ps > 0).all()
+        assert np.array_equal(metrics.trap_ps, result.trap_ps)
+
+    def test_bare_metal_records_no_trap_time(self):
+        metrics = build_virtio_testbed(seed=0).run_workload(
+            ClosedLoopGenerator(outstanding=1, sizes=FixedSize(64), packets=5)
+        )
+        assert metrics.trap_ps is None
 
     def test_virtio_throughput_scales_with_outstanding(self):
         one = build_virtio_testbed(seed=1).run_workload(
@@ -122,6 +142,24 @@ class TestOpenLoopAccounting:
             high.latency_percentiles_us()[99.0]
             > 2 * low.latency_percentiles_us()[99.0]
         )
+
+
+class TestDroppedRoundTrip:
+    def test_run_payload_raises_naming_the_reason(self):
+        # Every descriptor corrupt and no retries: each transfer fails.
+        testbed = build_xdma_testbed(seed=3, fault_plan=driver_fault_plan("xdma", 1.0))
+        testbed.driver.max_retries = 0
+        with pytest.raises(ExperimentError, match="retries_exhausted"):
+            run_payload(testbed, 64, 3)
+
+    def test_closed_loop_counts_the_drop(self):
+        testbed = build_xdma_testbed(seed=3, fault_plan=driver_fault_plan("xdma", 1.0))
+        testbed.driver.max_retries = 0
+        metrics = testbed.run_workload(
+            ClosedLoopGenerator(outstanding=1, sizes=FixedSize(64), packets=3)
+        )
+        assert metrics.completed == 0
+        assert metrics.drop_reasons == {"retries_exhausted": 3}
 
 
 class TestValidation:
