@@ -180,7 +180,7 @@ def test_max_events_budget_is_exact(benchmark):
 #: because they are deterministic (no timing, no tolerance).  Virtio
 #: makes 289 reads over 24 packets (descriptor table walks dominate;
 #: the payload itself is snapshotted once in the driver RX path), xdma
-#: 4 per packet (descriptor fetch, C2H pooled snapshot, chardev read,
+#: 4 per packet (descriptor fetch, C2H snapshot, chardev read,
 #: status readback).  A breach means a copy crept back into a hot path;
 #: a drop means the budget should come down with it.
 VIRTIO_COPIES_PER_PACKET_BUDGET = 289 / 24

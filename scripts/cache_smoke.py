@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """CI cache smoke: prove a warm rerun is all hits and much faster.
 
-Runs the fleetsweep and guestsweep workloads twice in one process
-against a fresh cache directory -- a cold populate pass and a warm
-pass -- and asserts:
+Runs three workloads -- the E-M1 fleet sweep, the E-V1 guest sweep and
+the E-F2 reset storm -- twice in one process against a fresh cache
+directory -- a cold populate pass and a warm pass -- and asserts:
 
 * the two passes' artifacts are byte-identical (minus ``cache_stats``);
 * the warm pass hits on every cell (``MIN_HIT_RATE``): it reruns the
@@ -33,13 +33,15 @@ from repro.exec import cache as result_cache
 MIN_HIT_RATE = 1.0
 MIN_SPEEDUP = 3.0
 
-#: The two sweep workloads named in the acceptance criteria; small but
-#: real (every cell kind in each boots, runs, and caches).
+#: Small but real workloads: every cell kind in each boots, runs, and
+#: caches (the reset storm is one faultlat cell carrying a fault plan).
 COMMANDS = [
     ["fleetsweep", "--json", "--pods", "2", "--tenants", "4",
      "--packets", "40", "--seed", "7", "-j", "2"],
     ["guestsweep", "--json", "--packets", "40", "--payloads", "64", "1024",
      "--seed", "7", "-j", "2"],
+    ["faultsweep", "--json", "--scenario", "reset", "--every", "20",
+     "--packets", "40", "--seed", "7"],
 ]
 
 

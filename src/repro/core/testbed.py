@@ -164,7 +164,6 @@ def build_xdma_testbed(
     seed: int = 0,
     profile: CalibrationProfile = PAPER_PROFILE,
     tracer: Optional[Tracer] = None,
-    bram_size: int = 64 << 10,
     fault_plan: Optional["FaultPlan"] = None,
 ) -> XdmaTestbed:
     """Construct and boot the XDMA example-design testbed.
@@ -183,7 +182,6 @@ def build_xdma_testbed(
         seed=seed,
         profile=profile,
         tracer=tracer,
-        bram_size=bram_size,
     )
     return _with_fault_plan(testbed, fault_plan)
 
@@ -200,7 +198,6 @@ def _with_fault_plan(testbed, fault_plan: Optional["FaultPlan"]):
 def build_console_testbed(
     seed: int = 0,
     profile: CalibrationProfile = PAPER_PROFILE,
-    echo: bool = True,
 ) -> ConsoleTestbed:
     """Construct and boot a virtio-console device + front-end driver.
 
@@ -211,9 +208,7 @@ def build_console_testbed(
     from repro.topology.builder import build_from_spec
     from repro.topology.spec import TopologySpec
 
-    return build_from_spec(
-        TopologySpec.single_console(), seed=seed, profile=profile, echo=echo
-    )
+    return build_from_spec(TopologySpec.single_console(), seed=seed, profile=profile)
 
 
 def build_block_testbed(

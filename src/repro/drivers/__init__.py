@@ -5,7 +5,6 @@ from repro.drivers.virtio_blk import BlockIOError, VirtioBlkDriver
 from repro.drivers.virtio_console import VirtioConsoleDriver
 from repro.drivers.virtio_net import VirtioNetDriver
 from repro.drivers.virtio_pci import VirtioPciTransport, VirtioProbeError
-from repro.drivers.virtio_rng import VirtioRngDriver
 from repro.drivers.xdma import XdmaCharDriver, XdmaProbeError
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "VirtioNetDriver",
     "VirtioPciTransport",
     "VirtioProbeError",
-    "VirtioRngDriver",
     "XdmaCharDriver",
     "XdmaProbeError",
 ]

@@ -1,13 +1,13 @@
 """One validated reader for every ``REPRO_*`` environment knob.
 
 The knobs accumulated across subsystems (packet-count override,
-buffer-pool debug mode, guest mode default, result cache, snapshot
-boot reuse), each with its own parsing and its own failure behavior
--- a typo in one silently fell back to the default while a typo in
-another raised.  This module is the single source of truth: every knob
-is declared here with its accepted values, every reader validates, and
-an unknown value always raises :class:`EnvError` naming the variable,
-the offending value, and what would have been accepted.
+guest mode default, result cache, snapshot boot reuse), each with its
+own parsing and its own failure behavior -- a typo in one silently
+fell back to the default while a typo in another raised.  This module
+is the single source of truth: every knob is declared here with its
+accepted values, every reader validates, and an unknown value always
+raises :class:`EnvError` naming the variable, the offending value, and
+what would have been accepted.
 
 The reference table lives in ``docs/architecture.md`` ("Environment
 knobs"); keep the two in sync.
@@ -18,9 +18,6 @@ Knobs
 ``REPRO_PACKETS``
     Positive integer: packets per payload size / load point, overriding
     artifact defaults (the paper used 50000).
-``REPRO_BUFPOOL_DEBUG``
-    Flag: enable buffer-pool ownership poisoning and double-free
-    checks.
 ``REPRO_GUEST_MODE``
     ``bare``, ``trapped``, or ``vhost``: default guest mode set for the
     ``guestsweep`` artifact when ``--modes`` is not given (unset: all
@@ -56,7 +53,6 @@ class EnvError(ValueError):
 #: map is what :func:`check_environment` sweeps).
 KNOWN_KNOBS = {
     "REPRO_PACKETS": "a positive integer",
-    "REPRO_BUFPOOL_DEBUG": "'1' or '0'",
     "REPRO_GUEST_MODE": "'bare', 'trapped', or 'vhost'",
     "REPRO_CACHE": "'1' or '0'",
     "REPRO_CACHE_DIR": "a directory path (created if missing)",
@@ -106,11 +102,6 @@ def packets(fallback: Optional[int] = None) -> Optional[int]:
     return count
 
 
-def bufpool_debug() -> bool:
-    """``REPRO_BUFPOOL_DEBUG``: buffer-pool ownership checking."""
-    return _flag("REPRO_BUFPOOL_DEBUG")
-
-
 def guest_mode() -> Optional[str]:
     """``REPRO_GUEST_MODE``: default guestsweep mode, or None (all)."""
     return _choice("REPRO_GUEST_MODE", ("bare", "trapped", "vhost"))
@@ -151,7 +142,6 @@ def check_environment() -> None:
     """Validate every set knob at once (CLI startup hook): one clear
     error up front instead of a late failure deep inside a worker."""
     packets()
-    bufpool_debug()
     guest_mode()
     result_cache()
     cache_dir()

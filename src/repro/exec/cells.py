@@ -150,11 +150,13 @@ class Cell:
     * ``"closedload"`` -- one outstanding-count point of a closed-loop
       sweep (uses ``outstanding``, ``payload_sizes``);
     * ``"faultlat"`` -- one ping-pong measurement under fault injection
-      (uses ``payload`` plus ``fault_rate`` / ``fault_plan``);
+      (uses ``payload`` plus either ``fault_rate``, the driver's
+      canonical fault at that rate, or ``fault_plan``, as the E-F2
+      reset storm does);
     * ``"overload"`` -- one offered-rate point of an overload-protected
       open-loop sweep with conservation monitoring (uses ``rate_pps``,
       ``arrival``, ``payload_sizes``, ``overload``, optionally
-      ``fault_rate`` / ``fault_plan``);
+      ``fault_rate``);
     * ``"soak"`` -- one driver's three-phase overload soak on a single
       testbed (uses ``rate_pps`` as the measured base rate plus
       ``overload``, ``fault_rate`` and ``payload_sizes``);
@@ -199,6 +201,8 @@ class Cell:
         if self.kind in ("openload", "overload"):
             return f"{self.driver}/{self.rate_pps:.0f}pps"
         if self.kind == "faultlat":
+            if self.fault_rate is None:
+                return f"{self.driver}/{self.payload}B/plan"
             return f"{self.driver}/r{self.fault_rate:g}"
         if self.kind == "soak":
             return f"{self.driver}/soak"

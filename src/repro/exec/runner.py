@@ -184,14 +184,11 @@ def _measure_cell(cell: Cell, testbed: Any) -> Tuple[Any, int]:
         from repro.health.monitor import ConservationMonitor
         from repro.workload.arrivals import make_arrivals
 
-        if cell.fault_plan is not None or cell.fault_rate:
+        if cell.fault_rate:
             from repro.faults.injector import attach_fault_plan
             from repro.faults.plan import driver_fault_plan
 
-            plan = cell.fault_plan
-            if plan is None:
-                plan = driver_fault_plan(cell.driver, cell.fault_rate or 0.0)
-            attach_fault_plan(testbed, plan)
+            attach_fault_plan(testbed, driver_fault_plan(cell.driver, cell.fault_rate))
         if cell.overload is not None:
             apply_overload_bounds(testbed, cell.overload)
         monitor = ConservationMonitor(cell.driver, "open")

@@ -1,12 +1,14 @@
 """Deterministic fault injection and reliability accounting.
 
 The paper measures both driver stacks only on the happy path; this
-package lets experiments ask how each stack behaves when the link, the
-DMA engine, or the rings misbehave -- the validation role SystemC-TLM
+package lets experiments ask how each stack behaves when the DMA
+engine or the rings misbehave -- the validation role SystemC-TLM
 virtual platforms and QEMU co-simulation play for real driver bring-up.
 
 * :mod:`repro.faults.plan` -- declarative, picklable fault specs
-  (site, kind, trigger) grouped into a :class:`~repro.faults.plan.FaultPlan`.
+  (site, kind, trigger) grouped into a :class:`~repro.faults.plan.FaultPlan`:
+  corrupted XDMA descriptors, lost VirtIO doorbells and malformed
+  VirtIO descriptor chains.
 * :mod:`repro.faults.injector` -- compiles a plan against a booted
   testbed: every instrumented site asks ``injector.fire(site, kind)``
   at each opportunity and acts on the returned spec.
@@ -36,20 +38,8 @@ explicitly to keep this package free of circular imports with
 from repro.faults.injector import FaultInjector, attach_fault_plan
 from repro.faults.plan import (
     KIND_DESC_ERROR,
-    KIND_DUP_MSI,
-    KIND_ENGINE_STALL,
-    KIND_LOST_IRQ,
-    KIND_LOST_MSI,
     KIND_LOST_NOTIFY,
     KIND_MALFORMED_CHAIN,
-    KIND_SPURIOUS_USR_IRQ,
-    KIND_TLP_CORRUPT,
-    KIND_TLP_DELAY,
-    KIND_TLP_DROP,
-    KIND_USED_DELAY,
-    SITE_HOST_IRQ,
-    SITE_PCIE_DOWN,
-    SITE_PCIE_UP,
     SITE_VIRTIO_CTRL,
     SITE_XDMA_ENGINE,
     EveryNth,
@@ -57,7 +47,6 @@ from repro.faults.plan import (
     FaultSpec,
     NthEvent,
     PoissonRate,
-    TimeWindow,
     driver_fault_plan,
 )
 from repro.faults.report import ReliabilityReport
@@ -70,24 +59,11 @@ __all__ = [
     "NthEvent",
     "PoissonRate",
     "ReliabilityReport",
-    "TimeWindow",
     "attach_fault_plan",
     "driver_fault_plan",
     "KIND_DESC_ERROR",
-    "KIND_DUP_MSI",
-    "KIND_ENGINE_STALL",
-    "KIND_LOST_IRQ",
-    "KIND_LOST_MSI",
     "KIND_LOST_NOTIFY",
     "KIND_MALFORMED_CHAIN",
-    "KIND_SPURIOUS_USR_IRQ",
-    "KIND_TLP_CORRUPT",
-    "KIND_TLP_DELAY",
-    "KIND_TLP_DROP",
-    "KIND_USED_DELAY",
-    "SITE_HOST_IRQ",
-    "SITE_PCIE_DOWN",
-    "SITE_PCIE_UP",
     "SITE_VIRTIO_CTRL",
     "SITE_XDMA_ENGINE",
 ]

@@ -255,17 +255,26 @@ def run_reset_recovery(
     ``STATUS_DEVICE_NEEDS_RESET`` and the driver must notice (config
     interrupt), reset, renegotiate, and replay pending TX without
     losing a packet -- the run only completes if every echo arrives.
+
+    The run is one ``faultlat`` cell carrying the reset-storm plan, so
+    the result cache serves it like any other cell.  The cell boots
+    from the root *seed* itself, not a derived cell seed.
     """
-    from repro.core.latency import run_payload
-    from repro.core.testbed import build_virtio_testbed
-    from repro.faults.report import ReliabilityReport
+    from repro.exec.cells import Cell
+    from repro.exec.runner import run_cells
 
     count = packets if packets is not None else default_packets(300)
-    testbed = build_virtio_testbed(
-        seed=seed, profile=profile, fault_plan=reset_storm_plan(every)
+    cell = Cell(
+        kind="faultlat",
+        driver="virtio",
+        seed=seed,
+        packets=count,
+        profile=profile,
+        payload=payload,
+        fault_plan=reset_storm_plan(every),
     )
-    payload_result = run_payload(testbed, payload, count)
-    report = ReliabilityReport.collect(testbed)
+    (outcome,) = run_cells([cell])
+    payload_result, reliability = outcome.value
     summary = payload_result.rtt_summary()
     result = ResetRecoveryResult(
         every=every,
@@ -274,6 +283,6 @@ def run_reset_recovery(
         seed=seed,
         mean_us=summary.mean_us,
         p99_us=summary.p99_us,
-        reliability=report.as_dict(),
+        reliability=reliability,
     )
     return result, result.render()

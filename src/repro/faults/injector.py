@@ -1,9 +1,9 @@
 """Compiling a :class:`~repro.faults.plan.FaultPlan` onto a testbed.
 
 The injector is deliberately passive: instrumented sites call
-:meth:`FaultInjector.fire` at each *opportunity* (a TLP arriving, a
-descriptor being fetched, a doorbell landing, an MSI being delivered)
-and receive either ``None`` (proceed normally) or the matching
+:meth:`FaultInjector.fire` at each *opportunity* (a descriptor or a
+descriptor chain being fetched, a doorbell landing) and receive either
+``None`` (proceed normally) or the matching
 :class:`~repro.faults.plan.FaultSpec` (misbehave as that spec says).
 All trigger bookkeeping -- opportunity counters, one-shot state,
 Bernoulli draws from the dedicated ``faults.<site>.<kind>`` streams --
@@ -19,15 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.faults.plan import (
-    EveryNth,
-    FaultPlan,
-    FaultSpec,
-    NthEvent,
-    PoissonRate,
-    TimeWindow,
-)
-from repro.sim.time import ns
+from repro.faults.plan import EveryNth, FaultPlan, FaultSpec, NthEvent, PoissonRate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -88,18 +80,12 @@ class FaultInjector:
             return False
         if isinstance(trigger, EveryNth):
             return trigger.n > 0 and count % trigger.n == 0
-        if isinstance(trigger, TimeWindow):
-            return ns(trigger.start_ns) <= self.sim.now <= ns(trigger.end_ns)
         if isinstance(trigger, PoissonRate):
             # Always draw, even at probability 0: keeps the uniform
             # stream aligned with the opportunity stream across rates.
             draw = self.sim.rng(f"faults.{key[0]}.{key[1]}").random()
             return draw < trigger.probability
         raise TypeError(f"unknown trigger type {type(trigger).__name__}")
-
-    def delay_ps(self, spec: FaultSpec, default_ns: float = 0.0) -> int:
-        """The spec's delay parameter as integer picoseconds."""
-        return ns(spec.delay_ns if spec.delay_ns > 0 else default_ns)
 
     # -- accounting ------------------------------------------------------------------
 
@@ -123,9 +109,10 @@ class FaultInjector:
 
 def attach_fault_plan(testbed, plan: FaultPlan) -> FaultInjector:
     """Wire a fresh injector for *plan* onto every instrumented hook of
-    a booted testbed (VirtIO or XDMA).  Returns the injector; it is
-    also stored as ``testbed.injector`` so measurement code can detect
-    fault-mode runs."""
+    a booted testbed (VirtIO or XDMA): the controller and the XDMA IP
+    it drives, the driver's recovery paths.  Returns the injector; it
+    is also stored as ``testbed.injector`` so measurement code can
+    detect fault-mode runs."""
     injector = FaultInjector(plan, testbed.sim)
     device = getattr(testbed, "device", None)
     if device is not None:  # VirtIO testbed: controller + its XDMA IP
@@ -134,10 +121,6 @@ def attach_fault_plan(testbed, plan: FaultPlan) -> FaultInjector:
     else:  # XDMA example-design testbed
         core = testbed.xdma
     core.injector = injector
-    link = core.endpoint.link
-    link.downstream.injector = injector
-    link.upstream.injector = injector
-    testbed.kernel.irqc.injector = injector
     testbed.driver.injector = injector
     testbed.injector = injector
     return injector

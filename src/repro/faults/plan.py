@@ -8,11 +8,19 @@ pool workers inside :class:`~repro.exec.cells.Cell` unchanged -- the
 compilation against a live testbed happens in
 :class:`~repro.faults.injector.FaultInjector`.
 
-Sites and kinds are plain strings so the low-level layers (PCIe link,
-XDMA engines, VirtIO controller, host IRQ delivery) can reference them
-without importing anything above :mod:`repro.faults.plan`, which itself
-imports nothing from the model -- the dependency arrow only ever points
-downward into this module.
+There are two sites and three kinds: the XDMA SGDMA engine corrupts a
+fetched descriptor (``desc_error``), and the VirtIO controller
+swallows a doorbell (``lost_notify``) or corrupts a fetched chain into
+a self-referential one (``malformed_chain``).  These are the faults
+the E-F1 sweep and the E-F2 reset storm arm.  Triggers fire at the
+*n*-th opportunity, at every *n*-th, or per opportunity with a fixed
+probability.
+
+Sites and kinds are plain strings so the low-level layers (XDMA
+engines, VirtIO controller) can reference them without importing
+anything above :mod:`repro.faults.plan`, which itself imports nothing
+from the model -- the dependency arrow only ever points downward into
+this module.
 """
 
 from __future__ import annotations
@@ -22,46 +30,21 @@ from typing import Tuple, Union
 
 # -- injection sites -----------------------------------------------------------------
 
-#: Root complex -> endpoint direction of the PCIe link.
-SITE_PCIE_DOWN = "pcie.down"
-#: Endpoint -> root complex direction of the PCIe link.
-SITE_PCIE_UP = "pcie.up"
-#: XDMA SGDMA engines and the IRQ block (descriptor fetch/IRQ raise).
+#: XDMA SGDMA engines (descriptor fetch).
 SITE_XDMA_ENGINE = "xdma.engine"
-#: VirtIO controller (notify region, queue engines, used-ring writes).
+#: VirtIO controller (notify region, queue engines).
 SITE_VIRTIO_CTRL = "virtio.controller"
-#: Host-side MSI delivery (root complex -> interrupt controller).
-SITE_HOST_IRQ = "host.irq"
 
 # -- fault kinds ---------------------------------------------------------------------
 
-#: Silently drop a posted memory-write TLP (data poisoning by loss).
-KIND_TLP_DROP = "tlp_drop"
-#: Flip a byte of a posted write's payload at arrival.
-KIND_TLP_CORRUPT = "tlp_corrupt"
-#: Hold a TLP at the receiver for ``delay_ns`` before delivery -- the
-#: model's stand-in for a completion timeout / replay.
-KIND_TLP_DELAY = "tlp_delay"
 #: Corrupt a fetched SGDMA descriptor so magic/format validation fails
 #: and the engine error-stops without completing or interrupting.
 KIND_DESC_ERROR = "desc_error"
-#: Stall the engine ``delay_ns`` between descriptor decode and data move.
-KIND_ENGINE_STALL = "engine_stall"
-#: Swallow a channel-interrupt request inside the XDMA IRQ block.
-KIND_LOST_IRQ = "lost_irq"
-#: Duplicate a user-interrupt request (spurious usr_irq).
-KIND_SPURIOUS_USR_IRQ = "spurious_usr_irq"
 #: Swallow a doorbell write in the VirtIO notify region.
 KIND_LOST_NOTIFY = "lost_notify"
-#: Delay the device's used-ring element write by ``delay_ns``.
-KIND_USED_DELAY = "used_delay"
 #: Corrupt a fetched descriptor into a self-referential chain -- the
 #: controller detects it and latches ``STATUS_DEVICE_NEEDS_RESET``.
 KIND_MALFORMED_CHAIN = "malformed_chain"
-#: Drop an MSI-X message between root complex and interrupt controller.
-KIND_LOST_MSI = "lost_msi"
-#: Deliver an MSI-X message twice.
-KIND_DUP_MSI = "dup_msi"
 
 
 # -- triggers ------------------------------------------------------------------------
@@ -82,15 +65,6 @@ class EveryNth:
 
 
 @dataclass(frozen=True)
-class TimeWindow:
-    """Fire at every opportunity whose sim time falls in
-    ``[start_ns, end_ns]``."""
-
-    start_ns: float
-    end_ns: float
-
-
-@dataclass(frozen=True)
 class PoissonRate:
     """Per-opportunity Bernoulli draw with probability *probability*.
 
@@ -105,21 +79,16 @@ class PoissonRate:
     probability: float
 
 
-Trigger = Union[NthEvent, EveryNth, TimeWindow, PoissonRate]
+Trigger = Union[NthEvent, EveryNth, PoissonRate]
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One fault: *kind* at *site*, fired per *trigger*.
-
-    ``delay_ns`` parameterizes the delay/stall kinds; other kinds
-    ignore it.
-    """
+    """One fault: *kind* at *site*, fired per *trigger*."""
 
     site: str
     kind: str
     trigger: Trigger
-    delay_ns: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -132,13 +101,6 @@ class FaultPlan:
         for spec in self.specs:
             if not isinstance(spec, FaultSpec):
                 raise TypeError(f"FaultPlan entries must be FaultSpec, got {spec!r}")
-
-    def for_hook(self, site: str, kind: str) -> Tuple[FaultSpec, ...]:
-        return tuple(s for s in self.specs if s.site == site and s.kind == kind)
-
-    @property
-    def sites(self) -> Tuple[str, ...]:
-        return tuple(sorted({s.site for s in self.specs}))
 
 
 def driver_fault_plan(driver: str, rate: float) -> FaultPlan:

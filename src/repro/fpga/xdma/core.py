@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.faults.plan import KIND_LOST_IRQ, KIND_SPURIOUS_USR_IRQ, SITE_XDMA_ENGINE
-from repro.mem.bufpool import BufferPool
 from repro.mem.region import AddressSpace, MemoryRegion
 from repro.pcie.config_space import ConfigSpace
 from repro.pcie.device import PcieEndpoint
@@ -130,14 +128,9 @@ class XdmaCore(Component):
         #: Fault injector, attached by repro.faults after boot (None in
         #: normal runs -- every fault hook is gated on this).
         self.injector = None
-        self.irqs_lost = 0
-        self.spurious_user_irqs = 0
 
         # AXI-MM master address space toward fabric memories/logic.
         self.axi_space = AddressSpace(name=f"{name}.axi")
-        #: Pooled staging buffers for C2H payload snapshots (recycled
-        #: bytearray segments; see repro.mem.bufpool).
-        self.bufpool = BufferPool(segment_size=2048, name=f"{name}.bufpool")
 
         # Engines.
         self.h2c: List[DmaEngine] = [
@@ -286,11 +279,6 @@ class XdmaCore(Component):
     def axi_write(self, addr: int, data: bytes) -> None:
         self.axi_space.write(addr, data)
 
-    def axi_read_into(self, addr: int, buf) -> None:
-        """Read ``len(buf)`` AXI bytes straight into caller-owned *buf*
-        (no intermediate ``bytes``)."""
-        self.axi_space.read_into(addr, buf)
-
     def axi_access_time(self, addr: int, length: int) -> SimTime:
         """Access time of the AXI target at *addr* (regions without a
         timing model cost one fabric cycle)."""
@@ -314,16 +302,6 @@ class XdmaCore(Component):
         if not (self.channel_int_enable >> index) & 1:
             self.trace("channel-irq-masked", channel=index)
             return
-        if (
-            self.injector is not None
-            and self.injector.fire(SITE_XDMA_ENGINE, KIND_LOST_IRQ) is not None
-        ):
-            # The interrupt request pulse is swallowed before it reaches
-            # the MSI-X machinery; the engine status still shows the
-            # transfer completed, so the driver can recover by polling.
-            self.irqs_lost += 1
-            self.trace("channel-irq-lost", channel=index)
-            return
         vector = self.channel_vectors[index]
         self.trace("channel-irq", channel=index, vector=vector)
         self.endpoint.raise_msix(vector)
@@ -338,15 +316,6 @@ class XdmaCore(Component):
         vector = self.user_vectors[index]
         self.trace("user-irq", line=index, vector=vector)
         self.endpoint.raise_msix(vector)
-        if (
-            self.injector is not None
-            and self.injector.fire(SITE_XDMA_ENGINE, KIND_SPURIOUS_USR_IRQ) is not None
-        ):
-            # Glitchy usr_irq_req line: the host sees the vector twice
-            # and its handler must tolerate the spurious second firing.
-            self.spurious_user_irqs += 1
-            self.trace("user-irq-spurious", line=index, vector=vector)
-            self.endpoint.raise_msix(vector)
 
     # -- statistics --------------------------------------------------------------------
 

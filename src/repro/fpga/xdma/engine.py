@@ -26,7 +26,7 @@ import enum
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
-from repro.faults.plan import KIND_DESC_ERROR, KIND_ENGINE_STALL, SITE_XDMA_ENGINE
+from repro.faults.plan import KIND_DESC_ERROR, SITE_XDMA_ENGINE
 from repro.fpga.xdma.descriptor import DescriptorError, XdmaDescriptor
 from repro.fpga.xdma.regs import (
     CTRL_IE_DESC_COMPLETED,
@@ -158,10 +158,6 @@ class DmaEngine(Component):
                     # set and raises no completion; the host driver must
                     # notice via its request timeout.
                     return
-                spec = injector.fire(SITE_XDMA_ENGINE, KIND_ENGINE_STALL)
-                if spec is not None:
-                    self.trace("engine-stall")
-                    yield injector.delay_ps(spec, default_ns=1_000_000.0)
             else:
                 desc = XdmaDescriptor.decode(raw)
             yield from self._execute(desc)
@@ -221,15 +217,11 @@ class DmaEngine(Component):
             self.core.axi_write(desc.dst_addr, data)
         else:
             yield self.core.axi_access_time(desc.src_addr, desc.length)
-            # Snapshot the AXI source into a pooled buffer: the staging
-            # slot may be rewritten while the write TLPs are in flight,
-            # so the payload views must reference this private copy.
-            ref = self.core.bufpool.acquire(desc.length)
-            self.core.axi_read_into(desc.src_addr, ref.view())
-            yield self.core.endpoint.dma_write(desc.dst_addr, ref.handoff())
-            # The delivery event fired: the link holds no live payload
-            # views, so the segment can be recycled.
-            ref.release()
+            # Snapshot the AXI source: the staging slot may be rewritten
+            # while the write TLPs are in flight, so the payload views
+            # must reference this private copy.
+            data = self.core.axi_read(desc.src_addr, desc.length)
+            yield self.core.endpoint.dma_write(desc.dst_addr, memoryview(data))
         self.descriptors_executed += 1
         self.bytes_moved += desc.length
         self.last_descriptor_length = desc.length

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional
 
-from repro.faults.plan import KIND_DUP_MSI, KIND_LOST_MSI, SITE_HOST_IRQ
 from repro.sim.component import Component
 from repro.sim.resource import Mutex
 
@@ -40,10 +39,6 @@ class InterruptController(Component):
         self._next_vector = 0
         self.delivered = 0
         self.spurious = 0
-        #: Fault injector, attached by repro.faults (None in normal runs).
-        self.injector = None
-        self.msis_lost = 0
-        self.msis_duplicated = 0
         #: Handler decorator installed by :class:`repro.guest.Vmm`:
         #: ``wrap(vector, factory) -> factory`` charging injection costs
         #: before the guest handler runs.  Applied at registration time
@@ -76,18 +71,6 @@ class InterruptController(Component):
             self.spurious += 1
             self.trace("spurious-msi", vector=vector, address=address)
             return
-        if self.injector is not None:
-            if self.injector.fire(SITE_HOST_IRQ, KIND_LOST_MSI) is not None:
-                # The MSI write is dropped on the host side (e.g. APIC
-                # redirection race); the device believes it interrupted.
-                self.msis_lost += 1
-                self.trace("msi-lost", vector=vector)
-                return
-            if self.injector.fire(SITE_HOST_IRQ, KIND_DUP_MSI) is not None:
-                self.msis_duplicated += 1
-                self.trace("msi-duplicated", vector=vector)
-                self.delivered += 1
-                self.spawn(self._dispatch(handler), name=f"irq{vector}-dup")
         self.delivered += 1
         self.trace("msi", vector=vector)
         self.spawn(self._dispatch(handler), name=f"irq{vector}")

@@ -1,14 +1,7 @@
 """Host network stack: Ethernet/ARP/IPv4/UDP, net devices with NAPI,
 and BSD-style UDP sockets."""
 
-from repro.host.netstack.arp import (
-    ARP_OP_REPLY,
-    ARP_OP_REQUEST,
-    ArpCache,
-    ArpPacket,
-    arp_reply_frame,
-    arp_request_frame,
-)
+from repro.host.netstack.arp import ArpCache
 from repro.host.netstack.checksum import (
     internet_checksum,
     ones_complement_sum,
@@ -16,9 +9,7 @@ from repro.host.netstack.checksum import (
     verify_checksum,
 )
 from repro.host.netstack.ethernet import (
-    BROADCAST_MAC,
     ETH_HEADER_SIZE,
-    ETH_P_ARP,
     ETH_P_IP,
     EthernetFrame,
     mac_str,
@@ -57,16 +48,11 @@ from repro.host.netstack.udp import (
 )
 
 __all__ = [
-    "ARP_OP_REPLY",
-    "ARP_OP_REQUEST",
     "ArpCache",
-    "ArpPacket",
-    "BROADCAST_MAC",
     "CHECKSUM_NONE",
     "CHECKSUM_PARTIAL",
     "CHECKSUM_UNNECESSARY",
     "ETH_HEADER_SIZE",
-    "ETH_P_ARP",
     "ETH_P_IP",
     "EthernetFrame",
     "FEATURE_HW_CSUM",
@@ -86,8 +72,6 @@ __all__ = [
     "UDP_HEADER_SIZE",
     "UdpHeader",
     "UdpSocket",
-    "arp_reply_frame",
-    "arp_request_frame",
     "internet_checksum",
     "ip_str",
     "mac_str",

@@ -1,114 +1,32 @@
-"""ARP cache (with static entries, as the paper's setup uses).
+"""ARP cache with static entries, as the paper's setup uses.
 
 Section III-B1: "Entries are added to the operating system's routing
 table and ARP cache to facilitate routing packets from the test
 application to the FPGA" -- i.e. resolution never goes to the wire
-during the measurements.  Dynamic resolution (request/reply frames) is
-implemented too so the stack is complete for the examples.
+during the measurements.  The builder installs one permanent entry per
+virtio-net function; a lookup that misses is a configuration error the
+stack raises, not a trigger for dynamic resolution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
-
-from repro.host.netstack.ethernet import ETH_P_ARP, EthernetFrame
-
-ARP_HEADER_SIZE = 28
-ARP_OP_REQUEST = 1
-ARP_OP_REPLY = 2
-
-
-@dataclass(frozen=True)
-class ArpPacket:
-    """An ARP request/reply for IPv4 over Ethernet."""
-
-    operation: int
-    sender_mac: bytes
-    sender_ip: int
-    target_mac: bytes
-    target_ip: int
-
-    def encode(self) -> bytes:
-        buf = bytearray(ARP_HEADER_SIZE)
-        buf[0:2] = (1).to_bytes(2, "big")  # htype: ethernet
-        buf[2:4] = (0x0800).to_bytes(2, "big")  # ptype: IPv4
-        buf[4] = 6  # hlen
-        buf[5] = 4  # plen
-        buf[6:8] = self.operation.to_bytes(2, "big")
-        buf[8:14] = self.sender_mac
-        buf[14:18] = self.sender_ip.to_bytes(4, "big")
-        buf[18:24] = self.target_mac
-        buf[24:28] = self.target_ip.to_bytes(4, "big")
-        return bytes(buf)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ArpPacket":
-        if len(data) < ARP_HEADER_SIZE:
-            raise ValueError(f"ARP packet needs {ARP_HEADER_SIZE}B, got {len(data)}")
-        return cls(
-            operation=int.from_bytes(data[6:8], "big"),
-            sender_mac=bytes(data[8:14]),
-            sender_ip=int.from_bytes(data[14:18], "big"),
-            target_mac=bytes(data[18:24]),
-            target_ip=int.from_bytes(data[24:28], "big"),
-        )
 
 
 class ArpCache:
-    """IP -> MAC neighbour cache."""
+    """IP -> MAC neighbour cache of permanent entries."""
 
     def __init__(self) -> None:
         self._entries: Dict[int, bytes] = {}
-        self._static: set[int] = set()
 
     def add_static(self, ip: int, mac: bytes) -> None:
         """Permanent entry (``ip neigh add ... nud permanent``)."""
         if len(mac) != 6:
             raise ValueError("MAC must be 6 bytes")
         self._entries[ip] = bytes(mac)
-        self._static.add(ip)
-
-    def learn(self, ip: int, mac: bytes) -> None:
-        """Dynamic entry from received traffic (never downgrades a
-        static entry)."""
-        if ip not in self._static:
-            self._entries[ip] = bytes(mac)
 
     def lookup(self, ip: int) -> Optional[bytes]:
         return self._entries.get(ip)
 
-    def flush_dynamic(self) -> None:
-        self._entries = {ip: mac for ip, mac in self._entries.items() if ip in self._static}
-
     def __len__(self) -> int:
         return len(self._entries)
-
-
-def arp_request_frame(sender_mac: bytes, sender_ip: int, target_ip: int) -> EthernetFrame:
-    """Broadcast who-has frame."""
-    packet = ArpPacket(
-        operation=ARP_OP_REQUEST,
-        sender_mac=sender_mac,
-        sender_ip=sender_ip,
-        target_mac=b"\x00" * 6,
-        target_ip=target_ip,
-    )
-    return EthernetFrame(
-        dst=b"\xff" * 6, src=sender_mac, ethertype=ETH_P_ARP, payload=packet.encode()
-    )
-
-
-def arp_reply_frame(sender_mac: bytes, sender_ip: int, target_mac: bytes,
-                    target_ip: int) -> EthernetFrame:
-    """Unicast is-at frame."""
-    packet = ArpPacket(
-        operation=ARP_OP_REPLY,
-        sender_mac=sender_mac,
-        sender_ip=sender_ip,
-        target_mac=target_mac,
-        target_ip=target_ip,
-    )
-    return EthernetFrame(
-        dst=target_mac, src=sender_mac, ethertype=ETH_P_ARP, payload=packet.encode()
-    )

@@ -6,12 +6,9 @@ from dataclasses import dataclass
 
 ETH_HEADER_SIZE = 14
 ETH_P_IP = 0x0800
-ETH_P_ARP = 0x0806
 
 #: Minimum payload so a frame reaches the 60-byte (pre-FCS) minimum.
 ETH_MIN_PAYLOAD = 46
-
-BROADCAST_MAC = b"\xff\xff\xff\xff\xff\xff"
 
 
 def mac_str(mac: bytes) -> str:
@@ -59,7 +56,3 @@ class EthernetFrame:
             ethertype=int.from_bytes(data[12:14], "big"),
             payload=bytes(data[14:]),
         )
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst == BROADCAST_MAC

@@ -20,6 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: (payload, (src_ip, src_port))
 Datagram = Tuple[bytes, Tuple[int, int]]
 
+#: Drop reason of a datagram the full receive backlog tail-drops.
+SOCKET_RX_OVERFLOW = "socket_rx_overflow"
+
 
 class SocketError(RuntimeError):
     """Bind conflicts and misuse."""
@@ -35,7 +38,7 @@ class UdpSocket:
         #: SO_RCVBUF analogue: a bounded backlog with a counted drop
         #: reason (softirq context, so the policy is always tail-drop).
         self._rx_queue = BoundedQueue(
-            capacity=1024, name="udp-rx", drop_reason="socket_rx_overflow"
+            capacity=1024, name="udp-rx", drop_reason=SOCKET_RX_OVERFLOW
         )
         self._rx_waiter: Optional[Event] = None
         self.rx_enqueued = 0
@@ -69,10 +72,6 @@ class UdpSocket:
     def rx_dropped(self) -> int:
         """Datagrams tail-dropped at the full backlog."""
         return self._rx_queue.dropped_total
-
-    @property
-    def rx_drop_reasons(self) -> dict:
-        return dict(self._rx_queue.drops)
 
     def deliver(self, payload: bytes, source: Tuple[int, int]) -> None:
         """Called by the stack's UDP demux (already in softirq context).

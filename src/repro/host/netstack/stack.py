@@ -17,14 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
-from repro.host.netstack.arp import (
-    ARP_OP_REPLY,
-    ARP_OP_REQUEST,
-    ArpCache,
-    ArpPacket,
-    arp_reply_frame,
-)
-from repro.host.netstack.ethernet import ETH_HEADER_SIZE, ETH_P_ARP, ETH_P_IP, EthernetFrame
+from repro.host.netstack.arp import ArpCache
+from repro.host.netstack.ethernet import ETH_HEADER_SIZE, ETH_P_IP, EthernetFrame
 from repro.host.netstack.ip import IP_HEADER_SIZE, IPPROTO_UDP, Ipv4Header, RoutingTable
 from repro.host.netstack.netdev import FEATURE_HW_CSUM, NetDevice
 from repro.host.netstack.skb import CHECKSUM_PARTIAL, CHECKSUM_UNNECESSARY, Skb
@@ -59,7 +53,6 @@ class NetworkStack(Component):
             "rx_drop_bad_csum": 0,
             "rx_drop_ethertype": 0,
             "rx_drop_proto": 0,
-            "arp_rx": 0,
         }
 
     # -- configuration --------------------------------------------------------
@@ -170,9 +163,6 @@ class NetworkStack(Component):
         if len(data) < ETH_HEADER_SIZE:
             raise ValueError(f"frame too short: {len(data)}B")
         ethertype = int.from_bytes(data[12:14], "big")
-        if ethertype == ETH_P_ARP:
-            yield from self._receive_arp(device, EthernetFrame.decode(data))
-            return
         if ethertype != ETH_P_IP:
             self.stats["rx_drop_ethertype"] += 1
             self.trace("rx-drop-ethertype", ethertype=ethertype)
@@ -206,14 +196,3 @@ class NetworkStack(Component):
         self.stats["udp_rx"] += 1
         self.trace("udp-rx", src=ip_header.src, port=udp_header.src_port, bytes=len(payload))
         socket.deliver(payload, (ip_header.src, udp_header.src_port))
-
-    def _receive_arp(self, device: NetDevice, frame: EthernetFrame) -> Generator[Any, Any, None]:
-        self.stats["arp_rx"] += 1
-        packet = ArpPacket.decode(frame.payload)
-        self.arp.learn(packet.sender_ip, packet.sender_mac)
-        if packet.operation == ARP_OP_REQUEST and packet.target_ip == device.ip:
-            reply = arp_reply_frame(device.mac, device.ip, packet.sender_mac, packet.sender_ip)
-            yield self.kernel.cpu("dev_xmit")
-            yield from device.start_xmit(Skb(data=reply.encode(), protocol=ETH_P_ARP))
-        elif packet.operation == ARP_OP_REPLY:
-            self.trace("arp-reply", ip=packet.sender_ip)

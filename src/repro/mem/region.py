@@ -35,14 +35,6 @@ class MemoryRegion:
     def write(self, offset: int, data: bytes) -> None:
         raise NotImplementedError
 
-    def read_into(self, offset: int, buf) -> None:
-        """Copy ``len(buf)`` bytes at *offset* into caller-owned *buf*.
-
-        The base implementation goes through :meth:`read`; dense regions
-        override it to skip the intermediate ``bytes``.
-        """
-        memoryview(buf)[:] = self.read(offset, len(buf))
-
     def view(self, offset: int, length: int) -> memoryview:
         """Read-only view of *length* bytes at *offset*.
 
@@ -76,11 +68,6 @@ class RamRegion(MemoryRegion):
     def write(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
         self._data[offset : offset + len(data)] = data
-
-    def read_into(self, offset: int, buf) -> None:
-        length = len(buf)
-        self._check(offset, length)
-        memoryview(buf)[:] = self._data[offset : offset + length]
 
     def view(self, offset: int, length: int) -> memoryview:
         self._check(offset, length)
@@ -209,16 +196,6 @@ class AddressSpace:
                 f"write [{addr:#x},{addr + len(data):#x}) straddles mapping of {region.name!r}"
             )
         region.write(offset, data)
-
-    def read_into(self, addr: int, buf) -> None:
-        """Copy ``len(buf)`` bytes at *addr* into caller-owned *buf*."""
-        length = len(buf)
-        region, offset = self.resolve(addr)
-        if offset + length > region.size:
-            raise MemoryAccessError(
-                f"read [{addr:#x},{addr + length:#x}) straddles mapping of {region.name!r}"
-            )
-        region.read_into(offset, buf)
 
     def view(self, addr: int, length: int) -> memoryview:
         """Read-only view of *length* bytes at *addr* (zero-copy for

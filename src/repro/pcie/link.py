@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from collections import deque
 
-from repro.faults.plan import KIND_TLP_CORRUPT, KIND_TLP_DELAY, KIND_TLP_DROP
 from repro.pcie.tlp import Tlp
 from repro.sim.component import Component
 from repro.sim.event import Event
@@ -144,17 +143,10 @@ class LinkDirection(Component):
         # hop would otherwise be allocated twice per TLP.
         self._tx_done_cb = self._tx_done
         self._arrive_cb = self._arrive
-        #: Fault injector (attached by repro.faults; None in normal runs).
-        self.injector = None
         #: Shared-uplink arbiter (a PcieSwitch) when this direction sits
         #: behind a switch; None leaves behaviour exactly as before.
         self.uplink = None
         self.uplink_port = -1
-        #: Injection-site name: "pcie.down" / "pcie.up".
-        self.fault_site = f"pcie.{name}"
-        self.tlps_dropped = 0
-        self.tlps_corrupted = 0
-        self.tlps_delayed = 0
 
     def send(self, tlp: Tlp) -> Event:
         """Enqueue a TLP for transmission.  Returns the delivery event
@@ -238,54 +230,8 @@ class LinkDirection(Component):
             self._busy = False
 
     def _arrive(self, tlp: Tlp, delivered: Optional[Event]) -> None:
-        if self.injector is not None and self._inject_on_arrival(tlp, delivered):
-            return
         if self.tracer.enabled:
             self.trace("tlp-rx", tlp=tlp.kind.value, addr=tlp.addr)
-        self.deliver(tlp)
-        if delivered is not None:
-            delivered.trigger(None)
-
-    def _inject_on_arrival(self, tlp: Tlp, delivered: Optional[Event]) -> bool:
-        """Apply link-level faults to an arriving TLP.  Returns True when
-        the normal delivery path must be skipped."""
-        injector = self.injector
-        if tlp.is_posted and injector.fire(self.fault_site, KIND_TLP_DROP) is not None:
-            # The write is silently lost in the fabric.  The sender only
-            # ever observed the posted handshake, so its local delivery
-            # event still fires -- nothing upstream may block on a drop.
-            self.tlps_dropped += 1
-            self.trace("tlp-dropped", tlp=tlp.kind.value, addr=tlp.addr)
-            if delivered is not None:
-                delivered.trigger(None)
-            return True
-        if tlp.is_posted and len(tlp.data):
-            if injector.fire(self.fault_site, KIND_TLP_CORRUPT) is not None:
-                self.tlps_corrupted += 1
-                self.trace("tlp-corrupted", addr=tlp.addr, bytes=len(tlp.data))
-                # Copy-on-write: the payload may be a view of a pooled or
-                # live buffer the fault must not scribble on.  Take a
-                # private writable copy once, then flip the byte in place.
-                buf = bytearray(tlp.data)
-                buf[-1] ^= 0xFF
-                tlp.data = buf
-        spec = injector.fire(self.fault_site, KIND_TLP_DELAY)
-        if spec is not None:
-            self.tlps_delayed += 1
-            self.trace("tlp-delayed", tlp=tlp.kind.value, addr=tlp.addr)
-            if not isinstance(tlp.data, bytes):
-                # The delayed delivery may outlive the buffer the payload
-                # views (pooled staging is recycled once the sender's
-                # delivery event fires) -- snapshot before rescheduling.
-                tlp.data = bytes(tlp.data)
-            self.sim.schedule(
-                injector.delay_ps(spec, default_ns=500.0), self._deliver_late, tlp, delivered
-            )
-            return True
-        return False
-
-    def _deliver_late(self, tlp: Tlp, delivered: Optional[Event]) -> None:
-        self.trace("tlp-rx", tlp=tlp.kind.value, addr=tlp.addr)
         self.deliver(tlp)
         if delivered is not None:
             delivered.trigger(None)

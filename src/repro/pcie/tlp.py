@@ -102,7 +102,7 @@ class Tlp:
     length: int = 0
     #: Payload for MWr / CplD / CfgWr0.  ``bytes`` or any read-only
     #: buffer (``memoryview``): the zero-copy data plane threads views of
-    #: pooled/staged buffers here instead of materializing a copy per hop.
+    #: staged buffers here instead of materializing a copy per hop.
     data: bytes = b""
     requester: str = ""
     tag: int = 0

@@ -3,11 +3,11 @@
 Public surface:
 
 * :class:`Simulator` -- the event loop (integer-picosecond time).
-* :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` --
-  synchronization primitives.
+* :class:`Event`, :class:`Timeout`, :class:`AnyOf` -- synchronization
+  primitives.
 * :class:`Process` -- generator-based coroutine processes.
-* :class:`Channel`, :class:`Resource`, :class:`Mutex` -- blocking queues
-  and semaphores with deterministic FIFO wake-up.
+* :class:`Resource`, :class:`Mutex` -- semaphores with deterministic
+  FIFO wake-up.
 * :class:`Component` -- named hierarchy base class for model blocks.
 * :class:`LatencyModel` -- nominal + lognormal body + Pareto tail latency
   distributions.
@@ -15,11 +15,11 @@ Public surface:
 """
 
 from repro.sim.component import Component
-from repro.sim.event import AllOf, AnyOf, Event, EventError, Timeout
+from repro.sim.event import AnyOf, Event, EventError, Timeout
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Process, ProcessError
 from repro.sim.random import LatencyModel, fixed, jittered, quantize
-from repro.sim.resource import Channel, ChannelClosed, Mutex, Resource
+from repro.sim.resource import Mutex, Resource
 from repro.sim.time import (
     FPGA_FABRIC_CLOCK,
     HOST_TIMER_RESOLUTION,
@@ -39,10 +39,7 @@ from repro.sim.time import (
 from repro.sim.trace import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
-    "AllOf",
     "AnyOf",
-    "Channel",
-    "ChannelClosed",
     "Component",
     "Event",
     "EventError",

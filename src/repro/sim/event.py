@@ -2,8 +2,8 @@
 
 An :class:`Event` starts *pending* and is *triggered* exactly once with an
 optional value.  Processes wait on events by yielding them; callbacks can
-also be attached directly.  Composite events (:class:`AnyOf`,
-:class:`AllOf`) build barrier / select semantics on top.
+also be attached directly.  The composite :class:`AnyOf` builds select
+semantics on top (the XDMA driver's request timeout waits on it).
 
 Events deliberately do not reference the simulator; triggering is a pure
 state change plus callback fan-out, which keeps them usable both from
@@ -130,27 +130,6 @@ class AnyOf(Event):
                 self.trigger((index, child.value))
 
         return _cb
-
-
-class AllOf(Event):
-    """Fires when *all* child events have fired; value is the list of
-    child values in construction order."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, events: Iterable[Event], name: str = "") -> None:
-        super().__init__(name=name)
-        self.events: List[Event] = list(events)
-        if not self.events:
-            raise ValueError("AllOf requires at least one event")
-        self._remaining = len(self.events)
-        for ev in self.events:
-            ev.on_trigger(self._child_done)
-
-    def _child_done(self, _child: Event) -> None:
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.trigger([ev.value for ev in self.events])
 
 
 def ensure_event(obj: Optional[Event], name: str = "") -> Event:

@@ -1,10 +1,7 @@
 """Blocking synchronization resources built on events.
 
-These model hardware queues and shared units:
+These model shared units:
 
-:class:`Channel`
-    A FIFO of items with optional capacity; ``put``/``get`` return events
-    a process yields on.  Used for AXI-stream-like handoff between FSMs.
 :class:`Resource`
     Counting semaphore; models units with limited concurrency (a DMA
     engine channel, the PCIe link arbiter).
@@ -17,120 +14,12 @@ All wake-ups are FIFO-ordered, which keeps simulations deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Generator, Optional
+from typing import TYPE_CHECKING, Deque
 
 from repro.sim.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
-
-
-class ChannelClosed(RuntimeError):
-    """Raised when putting to or draining a closed channel."""
-
-
-class Channel:
-    """FIFO channel between processes.
-
-    Parameters
-    ----------
-    sim:
-        Owning simulator (wake-ups are scheduled as zero-delay events so
-        producers/consumers resume in deterministic queue order).
-    capacity:
-        Maximum queued items; ``None`` means unbounded.  ``put`` on a full
-        channel returns an event that fires once space frees up.
-    """
-
-    def __init__(self, sim: "Simulator", capacity: Optional[int] = None, name: str = "") -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive or None, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-        self._closed = False
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        """Enqueue *item*; the returned event fires when accepted."""
-        if self._closed:
-            raise ChannelClosed(f"channel {self.name!r} is closed")
-        done = Event(name=f"{self.name}.put")
-        if self._getters:
-            # Hand the item directly to the oldest waiting getter.
-            getter = self._getters.popleft()
-            self.sim.schedule(0, getter.trigger, item)
-            self.sim.schedule(0, done.trigger, None)
-        elif not self.full:
-            self._items.append(item)
-            self.sim.schedule(0, done.trigger, None)
-        else:
-            self._putters.append((done, item))
-        return done
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False if the channel is full."""
-        if self._closed:
-            raise ChannelClosed(f"channel {self.name!r} is closed")
-        if self._getters:
-            getter = self._getters.popleft()
-            self.sim.schedule(0, getter.trigger, item)
-            return True
-        if self.full:
-            return False
-        self._items.append(item)
-        return True
-
-    def get(self) -> Event:
-        """Dequeue; the returned event fires with the item."""
-        got = Event(name=f"{self.name}.get")
-        if self._items:
-            item = self._items.popleft()
-            self._admit_waiting_putter()
-            self.sim.schedule(0, got.trigger, item)
-        elif self._closed:
-            raise ChannelClosed(f"channel {self.name!r} is closed and drained")
-        else:
-            self._getters.append(got)
-        return got
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get; returns ``(ok, item)``."""
-        if self._items:
-            item = self._items.popleft()
-            self._admit_waiting_putter()
-            return True, item
-        return False, None
-
-    def _admit_waiting_putter(self) -> None:
-        if self._putters and not self.full:
-            done, item = self._putters.popleft()
-            self._items.append(item)
-            self.sim.schedule(0, done.trigger, None)
-
-    def close(self) -> None:
-        """Mark the channel closed; pending getters on an empty channel
-        would deadlock, so closing with waiting getters is an error."""
-        if self._getters:
-            raise ChannelClosed(f"closing channel {self.name!r} with {len(self._getters)} waiters")
-        self._closed = True
-
-    def __repr__(self) -> str:
-        cap = "inf" if self.capacity is None else str(self.capacity)
-        return f"<Channel {self.name!r} {len(self._items)}/{cap}>"
 
 
 class Resource:
@@ -174,30 +63,8 @@ class Resource:
         else:
             self._in_use -= 1
 
-    def using(self) -> "_ResourceContext":
-        """Generator-style scoped hold::
-
-            with-like usage inside a process:
-                yield from res.using().hold(duration)
-        """
-        return _ResourceContext(self)
-
     def __repr__(self) -> str:
         return f"<Resource {self.name!r} {self._in_use}/{self.slots} waiters={len(self._waiters)}>"
-
-
-class _ResourceContext:
-    """Helper to acquire, hold for a duration, and release a resource."""
-
-    def __init__(self, resource: Resource) -> None:
-        self.resource = resource
-
-    def hold(self, duration: int) -> Generator[Any, Any, None]:
-        yield self.resource.acquire()
-        try:
-            yield duration
-        finally:
-            self.resource.release()
 
 
 class Mutex(Resource):

@@ -19,11 +19,11 @@ endpoint to a switched pod of SR-IOV devices:
 Construction order and stream names decide the bytes of every artifact;
 component names do not.  The only random streams drawn under a
 component path are the host kernel's ``host.cpu`` and
-``host.interference``; every other stream is named by fault site, by
-workload, or by the rng personality, which no spec builds.  So every
-endpoint is named by its port index (``virtio-fpga<i>``,
-``user-logic<i>``, netdev ``virtio<i>``), and index 0 of the address
-plan is the paper's ``HOST_IP`` / ``FPGA_IP`` / ``FPGA_MAC``.
+``host.interference``; every other stream is named by fault site or by
+workload.  So every endpoint is named by its port index
+(``virtio-fpga<i>``, ``user-logic<i>``, netdev ``virtio<i>``), and
+index 0 of the address plan is the paper's ``HOST_IP`` / ``FPGA_IP`` /
+``FPGA_MAC``.
 
 A single-endpoint spec (``is_single_legacy``) returns the testbed type
 of its kind (:class:`VirtioTestbed`, :class:`XdmaTestbed`,
@@ -72,6 +72,11 @@ from repro.virtio.controller.block import VirtioBlockPersonality
 from repro.virtio.controller.console import VirtioConsolePersonality
 from repro.virtio.controller.device import VirtioFpgaDevice
 from repro.virtio.controller.net import VirtioNetPersonality
+
+
+#: The XDMA example design's BRAM behind AXI address 0 (Section
+#: III-B2: the same width as the VirtIO design's memory).
+XDMA_BRAM_SIZE = 64 << 10
 
 
 def _boot(sim: Simulator, rc: RootComplex) -> list:
@@ -168,17 +173,14 @@ def build_from_spec(
     profile: CalibrationProfile = PAPER_PROFILE,
     tracer: Optional[Tracer] = None,
     user_logic: Optional[UserLogic] = None,
-    echo: bool = True,
     capacity_sectors: int = 8192,
-    bram_size: int = 64 << 10,
 ):
     """Build and boot the machine *spec* describes.
 
     Runs the module's construction sequence and returns the testbed
     type it names.  *user_logic* replaces the echo logic of a spec with
-    exactly one virtio-net function; *echo* and *capacity_sectors*
-    configure the console and block personalities, *bram_size* the
-    XDMA BRAM.
+    exactly one virtio-net function; *capacity_sectors* sizes the block
+    personality's disk.
     """
     kinds = [device_spec.kind for device_spec in spec.devices]
     if not spec.is_single_legacy:
@@ -225,7 +227,7 @@ def build_from_spec(
                 endpoint.device = xdma = XdmaCore(
                     sim, link, name=f"xdma{index}", tracer=tracer
                 )
-                xdma.attach_axi(0, Bram(bram_size, name=f"xdma-bram{index}"))
+                xdma.attach_axi(0, Bram(XDMA_BRAM_SIZE, name=f"xdma-bram{index}"))
             else:
                 if endpoint.kind == "virtio-net":
                     logic = user_logic
@@ -237,7 +239,7 @@ def build_from_spec(
                 endpoint.device = VirtioFpgaDevice(
                     sim,
                     link,
-                    _personality(endpoint, profile, echo, capacity_sectors),
+                    _personality(endpoint, profile, capacity_sectors),
                     name=f"virtio-fpga{index}",
                     fsm_cycles=profile.virtio_fsm_cycles,
                     rx_prefetch=profile.rx_prefetch,
@@ -350,11 +352,11 @@ build_fleet = build_from_spec
 
 
 def _personality(
-    endpoint: _Endpoint, profile: CalibrationProfile, echo: bool, capacity_sectors: int
+    endpoint: _Endpoint, profile: CalibrationProfile, capacity_sectors: int
 ):
     """The device personality of a VirtIO endpoint's kind."""
     if endpoint.kind == "virtio-console":
-        return VirtioConsolePersonality(echo=echo)
+        return VirtioConsolePersonality()
     if endpoint.kind == "virtio-blk":
         return VirtioBlockPersonality(capacity_sectors=capacity_sectors)
     queue_pairs = endpoint.spec.queue_pairs

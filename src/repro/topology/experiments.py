@@ -66,6 +66,13 @@ DEFAULT_TENANT_RATE_PPS = 4000.0
 #: Named per-tenant arrival streams (independent of every model stream).
 TENANT_ARRIVAL_STREAM = "fleet.arrivals.t{tenant}"
 
+#: Per-tenant overload bounds: the admission window, the TX avail-ring
+#: depth limit of every queue pair, and the receive backlog of every
+#: tenant socket.
+TENANT_ADMISSION_LIMIT = 64
+TX_DEPTH_LIMIT = 64
+SOCKET_RX_LIMIT = 256
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -73,26 +80,17 @@ class FleetConfig:
 
     tenants: int = 16
     queue_pairs: int = 2
-    plain_devices: int = 1
-    vf_devices: int = 1
     vfs_per_device: int = 2
     arbiter: str = ARBITER_ROUND_ROBIN
-    vf_weights: Optional[Tuple[int, ...]] = None
     rate_pps: float = DEFAULT_TENANT_RATE_PPS
     arrival: str = "poisson"
     payload: int = 64
-    admission_limit: int = 64
-    tx_depth_limit: Optional[int] = 64
-    socket_rx_limit: Optional[int] = 256
 
     def spec(self) -> TopologySpec:
         return TopologySpec.fleet_pod(
             queue_pairs=self.queue_pairs,
-            plain_devices=self.plain_devices,
-            vf_devices=self.vf_devices,
             vfs_per_device=self.vfs_per_device,
             arbiter=self.arbiter,
-            vf_weights=self.vf_weights,
         )
 
 
@@ -310,11 +308,8 @@ def run_fleet_pod(
     # gate on the netdev, and (below) a receive-backlog bound per socket.
     for function in functions:
         driver = function.driver
-        if config.tx_depth_limit is not None:
-            for pair in range(driver.queue_pairs):
-                driver.transport.queue(
-                    tx_queue_index(pair)
-                ).depth_limit = config.tx_depth_limit
+        for pair in range(driver.queue_pairs):
+            driver.transport.queue(tx_queue_index(pair)).depth_limit = TX_DEPTH_LIMIT
         if driver.netdev is not None and driver.netdev.can_xmit is None:
             driver.netdev.can_xmit = driver.tx_has_room
 
@@ -326,8 +321,7 @@ def run_fleet_pod(
         function = functions[tenant % len(functions)]
         src_port = FLEET_PORT_BASE + tenant
         socket = testbed.open_socket(src_port)
-        if config.socket_rx_limit is not None:
-            socket.rx_queue_limit = config.socket_rx_limit
+        socket.rx_queue_limit = SOCKET_RX_LIMIT
         pair = tenant_queue_pair(
             function.host_ip, function.fpga_ip, src_port, function.spec.queue_pairs
         )
@@ -337,7 +331,7 @@ def run_fleet_pod(
         flow = VirtioFlow(
             sim, socket, RunRecorder("virtio", "open"), gaps, [config.payload] * packets,
             has_room=function.driver.tx_has_room, dst_ip=function.fpga_ip,
-            admission=AdmissionController(config.admission_limit), monitor=monitor,
+            admission=AdmissionController(TENANT_ADMISSION_LIMIT), monitor=monitor,
             lane=f"{function.lane}/q{pair}", first_seq=tenant * packets,
         )
         flows.append((function, pair, flow))
@@ -363,9 +357,7 @@ def run_fleet_pod(
                 function=function.index,
                 lane=flow.lane,
                 queue_pair=pair,
-                # Every attempt was sent or refused at injection; an echo
-                # the backlog dropped was sent, and counts as dropped too.
-                offered=metrics.offered_total - flow.socket.rx_dropped,
+                offered=metrics.offered_total,
                 delivered=metrics.completed,
                 dropped=metrics.dropped,
                 goodput_pps=metrics.completed / span_s,
@@ -463,7 +455,6 @@ def run_fleet_sweep(
     payload: int = 64,
     vfs_per_device: int = 2,
     arbiter: str = ARBITER_ROUND_ROBIN,
-    vf_weights: Optional[Tuple[int, ...]] = None,
     jobs: int = 1,
 ) -> Tuple[FleetSweepResult, ExecutionStats]:
     """E-M1: the tenant-fleet sweep, one cell per pod.
@@ -478,7 +469,6 @@ def run_fleet_sweep(
         queue_pairs=queue_pairs,
         vfs_per_device=vfs_per_device,
         arbiter=arbiter,
-        vf_weights=vf_weights,
         rate_pps=rate_pps,
         arrival=arrival,
         payload=payload,

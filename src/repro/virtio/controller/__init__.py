@@ -21,7 +21,6 @@ from repro.virtio.controller.net import (
 )
 from repro.virtio.controller.personality import DevicePersonality
 from repro.virtio.controller.queue_engine import DeviceQueueEngine, FetchedChain, QueueRole
-from repro.virtio.controller.rng import VirtioRngPersonality
 
 __all__ = [
     "CTRLQ",
@@ -40,5 +39,4 @@ __all__ = [
     "VirtioConsolePersonality",
     "VirtioFpgaDevice",
     "VirtioNetPersonality",
-    "VirtioRngPersonality",
 ]

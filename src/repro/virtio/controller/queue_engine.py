@@ -34,7 +34,7 @@ import enum
 from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Generator, List, Optional, Tuple
 
-from repro.faults.plan import KIND_MALFORMED_CHAIN, KIND_USED_DELAY, SITE_VIRTIO_CTRL
+from repro.faults.plan import KIND_MALFORMED_CHAIN, SITE_VIRTIO_CTRL
 from repro.virtio.constants import VIRTIO_MSI_NO_VECTOR
 from repro.virtio.controller.config_structs import QueueState
 from repro.virtio.virtqueue import (
@@ -381,13 +381,6 @@ class DeviceQueueEngine(Component):
     def complete(self, chain: FetchedChain, written: int) -> Generator[Any, Any, None]:
         """Publish the used element and interrupt if allowed."""
         yield self._fsm()
-        injector = self.device.injector
-        if injector is not None:
-            spec = injector.fire(SITE_VIRTIO_CTRL, KIND_USED_DELAY)
-            if spec is not None:
-                delay = injector.delay_ps(spec, default_ns=10_000.0)
-                self.trace("used-write-delayed", head=chain.head, delay_ps=delay)
-                yield delay
         elem = chain.head.to_bytes(4, "little") + written.to_bytes(4, "little")
         yield self.device.dma_port.host_write(
             self.addresses.used_entry_addr(self.used_idx), elem

@@ -62,6 +62,7 @@ from repro.drivers.xdma import XdmaBusyError, XdmaTransferError
 from repro.health.bounded import BoundedQueue
 from repro.health.monitor import ConservationMonitor
 from repro.host.chardev import sys_poll, sys_read, sys_write
+from repro.host.netstack.sockets import SOCKET_RX_OVERFLOW
 from repro.sim.event import Event
 from repro.sim.time import NS, SimTime
 from repro.workload.admission import AdmissionController, OverloadConfig
@@ -94,21 +95,34 @@ class WorkloadError(RuntimeError):
     """Generator misconfiguration or broken run invariants."""
 
 
+#: Two periods of the byte ramp 0..255: every window of up to 256
+#: bytes starting at any byte value is one slice of it.
+_RAMP = bytes(range(256)) * 2
+
+
+def _ramp(first: int, period: int, size: int) -> bytes:
+    """*size* bytes counting up (mod 256) from ``first & 0xFF`` and
+    starting over every *period* bytes (1 <= *period* <= 256)."""
+    start = first & 0xFF
+    window = _RAMP[start:start + period]
+    if size <= period:
+        return window[:size]
+    return (window * (size // period + 1))[:size]
+
+
 def _test_payload(size: int, sequence: int) -> bytes:
-    """The closed loop's deterministic payload pattern (sequence-stamped)."""
-    pattern = bytes((sequence + i) & 0xFF for i in range(min(size, 16)))
-    return (pattern * (size // len(pattern) + 1))[:size] if pattern else bytes(size)
+    """The closed loop's deterministic payload pattern (sequence-stamped):
+    byte *i* is ``(sequence + i % 16) & 0xFF``."""
+    return _ramp(sequence, 16, size)
 
 
 def _stamp(sequence: int, size: int) -> bytes:
     """A *size*-byte payload carrying its sequence number in the first
     four bytes (how open-loop completions are matched back to
-    injections)."""
+    injections); body byte *i* is ``(sequence + i) & 0xFF``."""
     if size < 4:
         raise WorkloadError(f"payload of {size}B cannot carry a sequence stamp")
-    head = sequence.to_bytes(4, "little")
-    body = bytes(((sequence + i) & 0xFF) for i in range(size - 4))
-    return head + body
+    return sequence.to_bytes(4, "little") + _ramp(sequence, 256, size - 4)
 
 
 def _sequence_of(payload: bytes) -> int:
@@ -133,6 +147,19 @@ def _drop(
     recorder.record_drop(now_ps, reason)
     if monitor is not None:
         monitor.drop(seq, reason, lane=lane)
+
+
+def _lose(
+    recorder: RunRecorder,
+    monitor: Optional[ConservationMonitor],
+    now_ps: SimTime,
+    seq: int,
+    reason: str,
+) -> None:
+    """:func:`_drop` for packet *seq*, already recorded as sent."""
+    recorder.record_loss(now_ps, reason)
+    if monitor is not None:
+        monitor.drop(seq, reason)
 
 
 def note_virtio_hops(monitor: Optional[ConservationMonitor], sockets, drivers) -> None:
@@ -241,21 +268,17 @@ class VirtioFlow:
                 self.admission.release()
 
     def _echo_lost(self) -> None:
-        """The socket backlog tail-dropped an echo: its packet's
-        admission slot is free again (the loss itself is counted by the
-        socket and reconciled from its hop counter)."""
+        """The socket backlog tail-dropped an echo: its packet was sent
+        and is lost, and its admission slot is free again (the monitor
+        reconciles the loss from the socket's hop counter)."""
+        self.recorder.record_loss(self.sim.now, SOCKET_RX_OVERFLOW)
         if self.admission is not None:
             self.admission.release()
 
     def finish(self, **kwargs: Any) -> RunMetrics:
-        """Close the socket and freeze the flow's metrics, its socket's
-        tail drops included."""
+        """Close the socket and freeze the flow's metrics."""
         self.socket.close()
-        return self.recorder.finish(
-            extra_drops=self.socket.rx_dropped,
-            extra_drop_reasons=self.socket.rx_drop_reasons,
-            **kwargs,
-        )
+        return self.recorder.finish(**kwargs)
 
 
 class OpenLoopGenerator:
@@ -402,10 +425,10 @@ class OpenLoopGenerator:
                             raise WorkloadError(f"short read: {len(data)} of {transfer}")
                     except XdmaBusyError:
                         # Reject-to-caller from the driver's bounded window.
-                        _drop(recorder, monitor, sim.now, seq, "driver_busy")
+                        _lose(recorder, monitor, sim.now, seq, "driver_busy")
                     except XdmaTransferError:
                         # The driver's own retries ran out: terminal.
-                        _drop(recorder, monitor, sim.now, seq, "retries_exhausted")
+                        _lose(recorder, monitor, sim.now, seq, "retries_exhausted")
                     else:
                         recorder.record_complete(sim.now, sim.now - arrival)
                         if monitor is not None:
@@ -527,10 +550,10 @@ class ClosedLoopGenerator:
                 try:
                     data = yield from exchange(payload)
                 except XdmaBusyError:
-                    recorder.record_drop(sim.now, "driver_busy")
+                    recorder.record_loss(sim.now, "driver_busy")
                     continue
                 except XdmaTransferError:
-                    recorder.record_drop(sim.now, "retries_exhausted")
+                    recorder.record_loss(sim.now, "retries_exhausted")
                     continue
                 yield kernel.clock.call_cost()
                 t1_ns = kernel.gettime_ns()

@@ -40,8 +40,12 @@ class RunMetrics:
     mode: str  # "open" or "closed"
     offered_pps: Optional[float]  # open loop only
     outstanding: Optional[int]  # closed loop only
+    #: Attempts that entered the system and were not lost afterwards
+    #: (completed, or still in flight when the run ended).
     sent: int
     completed: int
+    #: Attempts refused at injection or lost after it.  With ``sent``
+    #: this counts every attempt exactly once.
     dropped: int
     backpressured: int
     duration_ps: SimTime
@@ -172,11 +176,18 @@ class RunRecorder:
 
     def record_drop(self, now_ps: SimTime, reason: str = "queue_full") -> None:
         """An injection was refused, terminally, for *reason* (full
-        ring, full software queue, admission reject, busy driver,
-        exhausted retries, ...)."""
+        ring, full software queue, admission reject, ...)."""
         self.dropped += 1
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
         self._occupancy(now_ps)
+
+    def record_loss(self, now_ps: SimTime, reason: str) -> None:
+        """A request recorded as sent was lost, terminally, for *reason*
+        (busy driver, exhausted retries, echo dropped at the socket):
+        it leaves the in-flight count and moves from sent to dropped."""
+        self.sent -= 1
+        self._in_flight -= 1
+        self.record_drop(now_ps, reason)
 
     def record_backpressure(self) -> None:
         """The generator fell behind its own schedule (injection stalled)."""
@@ -186,24 +197,13 @@ class RunRecorder:
         self,
         offered_pps: Optional[float] = None,
         outstanding: Optional[int] = None,
-        extra_drops: int = 0,
-        extra_drop_reasons: Optional[Dict[str, int]] = None,
         trap_ps: Optional[List[int]] = None,
     ) -> RunMetrics:
-        """Freeze into a :class:`RunMetrics`.
-
-        ``extra_drops`` folds in losses counted outside the recorder
-        (e.g. the UDP socket's SO_RCVBUF tail drops);
-        ``extra_drop_reasons`` carries their per-reason breakdown;
-        ``trap_ps`` is the closed loop's per-round-trip VMM trap time.
-        """
+        """Freeze into a :class:`RunMetrics`; ``trap_ps`` is the closed
+        loop's per-round-trip VMM trap time."""
         duration = 0
         if self._first_send_ps is not None and self._last_event_ps is not None:
             duration = self._last_event_ps - self._first_send_ps
-        reasons = dict(self.drop_reasons)
-        for reason, count in (extra_drop_reasons or {}).items():
-            if count:
-                reasons[reason] = reasons.get(reason, 0) + count
         return RunMetrics(
             driver=self.driver,
             mode=self.mode,
@@ -211,12 +211,12 @@ class RunRecorder:
             outstanding=outstanding,
             sent=self.sent,
             completed=self.completed,
-            dropped=self.dropped + extra_drops,
+            dropped=self.dropped,
             backpressured=self.backpressured,
             duration_ps=duration,
             latency_ps=np.asarray(self._latency_ps, dtype=np.int64),
             occupancy_t_ps=np.asarray(self._occ_t, dtype=np.int64),
             occupancy_n=np.asarray(self._occ_n, dtype=np.int64),
-            drop_reasons=reasons,
+            drop_reasons=dict(self.drop_reasons),
             trap_ps=np.asarray(trap_ps, dtype=np.int64) if trap_ps is not None else None,
         )

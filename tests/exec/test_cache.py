@@ -90,6 +90,19 @@ class TestCliParity:
         assert stats["hits"] == 2 and stats["misses"] == 2
         assert strip_stats(mixed) == cold
 
+    def test_reset_storm_is_served_from_the_cache(self, tmp_path, capsys):
+        # E-F2 is one faultlat cell carrying the reset-storm plan.
+        argv = ["faultsweep", "--scenario", "reset", "--every", "20",
+                "--packets", "40", "--seed", "3", "--json",
+                "--cache", "--cache-dir", str(tmp_path)]
+        first = run_cli(argv, capsys)
+        stats = json.loads(first)["cache_stats"]
+        assert stats["hits"] == 0 and stats["misses"] == stats["stores"] == 1
+        second = run_cli(argv, capsys)
+        stats = json.loads(second)["cache_stats"]
+        assert stats["hits"] == 1 and stats["misses"] == 0
+        assert strip_stats(second) == strip_stats(first)
+
     def test_no_cache_flag_wins_over_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -119,6 +119,13 @@ class TestOpenLoopOverloadAccounting:
         ).run(testbed)
         assert metrics.drop_reasons.get("driver_busy", 0) > 0
         assert admissions[0].in_flight == 0
+        # A request refused after it was sent is dropped, not also
+        # sent, and leaves the in-flight count when it is lost.
+        assert metrics.offered_total == 200
+        assert metrics.dropped == sum(metrics.drop_reasons.values())
+        assert metrics.sent == metrics.completed
+        assert metrics.peak_in_flight <= 4
+        assert metrics.occupancy_n[-1] == 0
 
     def test_tail_dropped_echoes_return_their_slots(self, admissions):
         testbed = build_virtio_testbed(seed=2)
@@ -136,6 +143,10 @@ class TestOpenLoopOverloadAccounting:
         ).run(testbed)
         assert metrics.drop_reasons.get("socket_rx_overflow", 0) > 0
         assert admissions[0].in_flight == 0
+        assert metrics.offered_total == 200
+        assert metrics.sent == metrics.completed
+        assert metrics.peak_in_flight <= 3
+        assert metrics.occupancy_n[-1] == 0
 
     def test_socket_bound_reaches_the_flow_socket(self):
         testbed = build_virtio_testbed(seed=1)

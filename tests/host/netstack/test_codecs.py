@@ -1,18 +1,13 @@
-"""Tests for the Ethernet / ARP / IPv4 / UDP codecs and checksums."""
+"""Tests for the Ethernet / IPv4 / UDP codecs, checksums and the ARP cache."""
 
 import pytest
 
 from repro.host.netstack import (
-    ARP_OP_REPLY,
-    ARP_OP_REQUEST,
-    ArpPacket,
     EthernetFrame,
     Ipv4Header,
     Route,
     RoutingTable,
     UdpHeader,
-    arp_reply_frame,
-    arp_request_frame,
     internet_checksum,
     ip_str,
     mac_str,
@@ -163,43 +158,14 @@ class TestUdp:
             UdpHeader(src_port=70000, dst_port=0, length=8)
 
 
-class TestArp:
-    def test_packet_roundtrip(self):
-        packet = ArpPacket(
-            operation=ARP_OP_REQUEST,
-            sender_mac=b"\x02" * 6,
-            sender_ip=parse_ip("10.0.0.1"),
-            target_mac=b"\x00" * 6,
-            target_ip=parse_ip("10.0.0.2"),
-        )
-        assert ArpPacket.decode(packet.encode()) == packet
-
-    def test_request_frame_is_broadcast(self):
-        frame = arp_request_frame(b"\x02" * 6, 1, 2)
-        assert frame.is_broadcast
-
-    def test_reply_frame_is_unicast(self):
-        frame = arp_reply_frame(b"\x02" * 6, 1, b"\x04" * 6, 2)
-        assert frame.dst == b"\x04" * 6
-        assert ArpPacket.decode(frame.payload).operation == ARP_OP_REPLY
-
-
 class TestArpCache:
     def test_static_entries_persist(self):
         from repro.host.netstack import ArpCache
 
         cache = ArpCache()
         cache.add_static(1, b"\x0a" * 6)
-        cache.learn(1, b"\x0b" * 6)  # must not downgrade static
+        cache.add_static(2, b"\x0b" * 6)
         assert cache.lookup(1) == b"\x0a" * 6
-        cache.flush_dynamic()
-        assert cache.lookup(1) is not None
-
-    def test_dynamic_learning_and_flush(self):
-        from repro.host.netstack import ArpCache
-
-        cache = ArpCache()
-        cache.learn(2, b"\x0c" * 6)
-        assert cache.lookup(2) == b"\x0c" * 6
-        cache.flush_dynamic()
-        assert cache.lookup(2) is None
+        assert cache.lookup(2) == b"\x0b" * 6
+        assert cache.lookup(3) is None
+        assert len(cache) == 2

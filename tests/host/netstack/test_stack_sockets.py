@@ -142,15 +142,6 @@ class TestReceivePath:
         run(net["sim"], net["stack"].netif_receive(net["device"], skb))
         assert socket.rx_pending == 1
 
-    def test_arp_request_answered(self, net, run):
-        from repro.host.netstack import arp_request_frame
-
-        frame = arp_request_frame(PEER_MAC, PEER_IP, HOST_IP)
-        run(net["sim"], net["stack"].netif_receive(net["device"], Skb(data=frame.encode())))
-        assert len(net["sent"]) == 1
-        reply = EthernetFrame.decode(net["sent"][0].data)
-        assert reply.dst == PEER_MAC
-
 
 class TestSockets:
     def test_sendto_recvfrom_roundtrip(self, net, run):

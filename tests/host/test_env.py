@@ -29,26 +29,13 @@ class TestPackets:
 
 
 class TestFlags:
-    @pytest.mark.parametrize("reader,name", [
-        (env.bufpool_debug, "REPRO_BUFPOOL_DEBUG"),
-    ])
-    def test_flag_values(self, monkeypatch, reader, name):
-        monkeypatch.delenv(name, raising=False)
-        assert reader() is False
-        monkeypatch.setenv(name, "")
-        assert reader() is False
-        monkeypatch.setenv(name, "0")
-        assert reader() is False
-        monkeypatch.setenv(name, "1")
-        assert reader() is True
-
     def test_flag_guessing_rejected(self, monkeypatch):
         # "true"/"yes"/"on" are errors, not synonyms: a knob that
         # silently ignores them reads as enabled when it is not.
         for value in ("true", "yes", "on", "2"):
-            monkeypatch.setenv("REPRO_BUFPOOL_DEBUG", value)
-            with pytest.raises(env.EnvError, match="REPRO_BUFPOOL_DEBUG"):
-                env.bufpool_debug()
+            monkeypatch.setenv("REPRO_CACHE", value)
+            with pytest.raises(env.EnvError, match="REPRO_CACHE"):
+                env.result_cache()
 
 
 class TestGuestMode:
@@ -123,8 +110,8 @@ class TestCacheKnobs:
 class TestCheckEnvironment:
     def test_knob_set(self):
         assert sorted(env.KNOWN_KNOBS) == [
-            "REPRO_BUFPOOL_DEBUG", "REPRO_CACHE", "REPRO_CACHE_DIR",
-            "REPRO_GUEST_MODE", "REPRO_PACKETS", "REPRO_SNAPSHOT_BOOT",
+            "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_GUEST_MODE",
+            "REPRO_PACKETS", "REPRO_SNAPSHOT_BOOT",
         ]
 
     def test_clean_environment_passes(self, monkeypatch):

@@ -1,8 +1,7 @@
-"""Multi-device coexistence, device reset/re-probe, and virtio-rng."""
+"""Multi-device coexistence and device reset/re-probe."""
 
 import pytest
 
-from repro.drivers.virtio_rng import VirtioRngDriver
 from repro.drivers.xdma import XdmaCharDriver
 from repro.drivers.virtio_net import DRIVER_SUPPORTED, VirtioNetDriver
 from repro.fpga.user_logic import EchoUserLogic
@@ -19,7 +18,6 @@ from repro.sim.kernel import Simulator
 from repro.virtio.constants import VIRTIO_PCI_VENDOR_ID
 from repro.virtio.controller.device import VirtioFpgaDevice
 from repro.virtio.controller.net import VirtioNetPersonality
-from repro.virtio.controller.rng import VirtioRngPersonality
 
 HOST_IP = 0x0A00_0001
 FPGA_IP = 0x0A00_0002
@@ -149,60 +147,3 @@ class TestDeviceReset:
         testbed.sim.run()
         assert testbed.device.driver_ok
         assert set(testbed.device.engines) == {0, 1}
-
-
-class TestVirtioRng:
-    @pytest.fixture(scope="class")
-    def rng_system(self):
-        sim = Simulator(seed=83)
-        rc = RootComplex(sim)
-        kernel = HostKernel(sim, rc)
-        _, link = rc.create_port()
-        device = VirtioFpgaDevice(sim, link, VirtioRngPersonality(), name="virtio-rng")
-        boot = sim.spawn(enumerate_all(rc))
-        function = sim.run_until_triggered(boot)[0]
-        driver = VirtioRngDriver(kernel, function)
-        probe = sim.spawn(driver.probe())
-        sim.run_until_triggered(probe)
-        sim.run()
-        return dict(sim=sim, device=device, driver=driver)
-
-    def test_pci_identity(self, rng_system):
-        config = rng_system["device"].xdma.endpoint.config
-        assert config.device_id == 0x1040 + 4
-
-    def test_entropy_read(self, rng_system):
-        def app():
-            data = yield from rng_system["driver"].read_entropy(64)
-            return data
-
-        process = rng_system["sim"].spawn(app())
-        data = rng_system["sim"].run_until_triggered(process)
-        assert len(data) == 64
-        assert data != bytes(64)  # actually filled
-
-    def test_entropy_deterministic_per_seed(self, rng_system):
-        def app():
-            first = yield from rng_system["driver"].read_entropy(32)
-            second = yield from rng_system["driver"].read_entropy(32)
-            return first, second
-
-        process = rng_system["sim"].spawn(app())
-        first, second = rng_system["sim"].run_until_triggered(process)
-        assert first != second  # stream advances
-
-    def test_harvest_time_scales(self, rng_system):
-        sim = rng_system["sim"]
-
-        def timed(length):
-            def app():
-                t0 = sim.now
-                yield from rng_system["driver"].read_entropy(length)
-                return sim.now - t0
-
-            process = sim.spawn(app())
-            return sim.run_until_triggered(process)
-
-        small = timed(16)
-        large = timed(1024)
-        assert large > small * 3

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.event import AllOf, AnyOf, Event, EventError
+from repro.sim.event import AnyOf, Event, EventError
 
 
 class TestEvent:
@@ -81,25 +81,3 @@ class TestAnyOf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             AnyOf([])
-
-
-class TestAllOf:
-    def test_waits_for_all(self):
-        a, b = Event(), Event()
-        all_ev = AllOf([a, b])
-        a.trigger(1)
-        assert not all_ev.triggered
-        b.trigger(2)
-        assert all_ev.triggered
-        assert all_ev.value == [1, 2]
-
-    def test_value_order_matches_construction(self):
-        a, b = Event(), Event()
-        all_ev = AllOf([a, b])
-        b.trigger("second")
-        a.trigger("first")
-        assert all_ev.value == ["first", "second"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            AllOf([])

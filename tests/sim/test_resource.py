@@ -1,97 +1,9 @@
-"""Tests for channels, resources and mutexes."""
+"""Tests for resources and mutexes."""
 
 import pytest
 
-from repro.sim.resource import Channel, ChannelClosed, Mutex, Resource
+from repro.sim.resource import Mutex, Resource
 from repro.sim.time import ns
-
-
-class TestChannel:
-    def test_put_then_get(self, sim, run):
-        ch = Channel(sim, name="c")
-
-        def body():
-            yield ch.put("item")
-            value = yield ch.get()
-            return value
-
-        assert run(sim, body()) == "item"
-
-    def test_get_blocks_until_put(self, sim):
-        ch = Channel(sim)
-        got = []
-
-        def consumer():
-            value = yield ch.get()
-            got.append((sim.now, value))
-
-        def producer():
-            yield ns(100)
-            yield ch.put("late")
-
-        sim.spawn(consumer())
-        sim.spawn(producer())
-        sim.run()
-        assert got == [(ns(100), "late")]
-
-    def test_fifo_order(self, sim):
-        ch = Channel(sim)
-        got = []
-
-        def consumer():
-            for _ in range(3):
-                got.append((yield ch.get()))
-
-        def producer():
-            for i in range(3):
-                yield ch.put(i)
-
-        sim.spawn(consumer())
-        sim.spawn(producer())
-        sim.run()
-        assert got == [0, 1, 2]
-
-    def test_capacity_blocks_putter(self, sim):
-        ch = Channel(sim, capacity=1)
-        times = []
-
-        def producer():
-            yield ch.put("a")
-            times.append(sim.now)
-            yield ch.put("b")  # blocks until consumer frees a slot
-            times.append(sim.now)
-
-        def consumer():
-            yield ns(500)
-            yield ch.get()
-
-        sim.spawn(producer())
-        sim.spawn(consumer())
-        sim.run()
-        assert times[1] >= ns(500)
-
-    def test_try_put_respects_capacity(self, sim):
-        ch = Channel(sim, capacity=1)
-        assert ch.try_put(1)
-        assert not ch.try_put(2)
-
-    def test_try_get(self, sim):
-        ch = Channel(sim)
-        ok, _ = ch.try_get()
-        assert not ok
-        ch.try_put("x")
-        ok, value = ch.try_get()
-        assert ok and value == "x"
-
-    def test_closed_channel_rejects_put(self, sim):
-        ch = Channel(sim)
-        ch.close()
-        with pytest.raises(ChannelClosed):
-            ch.put(1)
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(ValueError):
-            Channel(sim, capacity=0)
 
 
 class TestResource:
@@ -130,16 +42,6 @@ class TestResource:
     def test_release_idle_rejected(self, sim):
         with pytest.raises(RuntimeError):
             Resource(sim).release()
-
-    def test_using_hold(self, sim, run):
-        res = Resource(sim)
-
-        def body():
-            yield from res.using().hold(ns(50))
-            return sim.now
-
-        assert run(sim, body()) == ns(50)
-        assert res.in_use == 0
 
     def test_invalid_slots(self, sim):
         with pytest.raises(ValueError):

@@ -38,6 +38,12 @@ COMMANDS = {
                               "--outstanding", "1", "2", "--seed", "7"],
     "faultsweep.json": ["faultsweep", "--json", "--packets", "40",
                         "--fault-rates", "0", "0.01", "--seed", "7"],
+    # E-F2, the reset storm.  Captured while it still booted its own
+    # testbed, so it pins that the cell path (one faultlat cell carrying
+    # the plan) kept its bytes.
+    "faultsweep_reset.json": ["faultsweep", "--scenario", "reset", "--every",
+                              "20", "--packets", "100", "--seed", "7",
+                              "--json"],
     "overload.json": ["overload", "--json", "--packets", "40",
                       "--multipliers", "0.5", "2", "--seed", "7"],
     # E-S1: the only artifact driving the open-loop drop paths under

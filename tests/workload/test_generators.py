@@ -16,6 +16,7 @@ from repro.workload import (
     PoissonArrivals,
     WorkloadError,
 )
+from repro.workload import generator as generator_module
 
 
 class TestClosedLoopCalibration:
@@ -160,6 +161,38 @@ class TestDroppedRoundTrip:
         )
         assert metrics.completed == 0
         assert metrics.drop_reasons == {"retries_exhausted": 3}
+        # Each attempt counts once: sent, then lost, then out of flight.
+        assert (metrics.sent, metrics.dropped) == (0, 3)
+        assert metrics.offered_total == 3
+        assert metrics.peak_in_flight == 1
+        assert metrics.occupancy_n[-1] == 0
+
+
+class TestPayloadBuilders:
+    """Both payload builders match their per-byte definitions."""
+
+    SEQUENCES = (0, 1, 15, 255, 256, 70_000, 2**31, 2**32 - 1)
+    SIZES = (0, 1, 4, 5, 15, 16, 17, 64, 255, 256, 260, 261, 512, 1024, 1472)
+
+    def test_closed_loop_payload(self):
+        for sequence in self.SEQUENCES:
+            for size in self.SIZES:
+                expected = bytes((sequence + i % 16) & 0xFF for i in range(size))
+                assert generator_module._test_payload(size, sequence) == expected, (
+                    sequence, size)
+
+    def test_open_loop_stamp(self):
+        for sequence in self.SEQUENCES:
+            for size in self.SIZES:
+                if size < 4:
+                    with pytest.raises(WorkloadError):
+                        generator_module._stamp(sequence, size)
+                    continue
+                expected = sequence.to_bytes(4, "little") + bytes(
+                    (sequence + i) & 0xFF for i in range(size - 4)
+                )
+                assert generator_module._stamp(sequence, size) == expected, (
+                    sequence, size)
 
 
 class TestValidation:
