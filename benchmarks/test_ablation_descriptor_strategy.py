@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.conftest import attach_table
 from repro.core.calibration import PAPER_PROFILE
-from repro.core.experiments import run_virtio_sweep
+from repro.core.experiments import run_sweep
 
 PAYLOADS = (64, 1024)
 
@@ -20,9 +20,9 @@ PAYLOADS = (64, 1024)
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_rx_descriptor_prefetch(benchmark, packets):
     def regenerate():
-        prefetch = run_virtio_sweep(payload_sizes=PAYLOADS, packets=packets, seed=0)
-        on_demand = run_virtio_sweep(
-            payload_sizes=PAYLOADS, packets=packets, seed=0,
+        prefetch = run_sweep("virtio", payload_sizes=PAYLOADS, packets=packets, seed=0)
+        on_demand = run_sweep(
+            "virtio", payload_sizes=PAYLOADS, packets=packets, seed=0,
             profile=PAPER_PROFILE.without_prefetch(),
         )
         return prefetch, on_demand

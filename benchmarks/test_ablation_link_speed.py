@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import attach_table
 from repro.core.calibration import PAPER_PROFILE
-from repro.core.experiments import run_virtio_sweep, run_xdma_sweep
+from repro.core.experiments import run_sweep
 
 PAYLOAD = 1024
 LINKS = [(1, 2), (2, 2), (2, 4), (3, 4)]
@@ -24,8 +24,8 @@ def test_ablation_link_speed(benchmark, packets):
         for generation, lanes in LINKS:
             profile = PAPER_PROFILE.with_link(generation, lanes)
             out[(generation, lanes)] = {
-                "virtio": run_virtio_sweep([PAYLOAD], packets, 0, profile)[PAYLOAD],
-                "xdma": run_xdma_sweep([PAYLOAD], packets, 0, profile)[PAYLOAD],
+                "virtio": run_sweep("virtio", [PAYLOAD], packets, 0, profile)[PAYLOAD],
+                "xdma": run_sweep("xdma", [PAYLOAD], packets, 0, profile)[PAYLOAD],
             }
         return out
 

@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import attach_table
 from repro.core.calibration import PAPER_PROFILE
-from repro.core.experiments import run_virtio_sweep, run_xdma_sweep
+from repro.core.experiments import run_sweep
 
 PAYLOAD = 256
 
@@ -22,10 +22,10 @@ def test_ablation_noise_off(benchmark, packets):
 
     def regenerate():
         return {
-            "virtio_noisy": run_virtio_sweep([PAYLOAD], packets, 0)[PAYLOAD],
-            "virtio_quiet": run_virtio_sweep([PAYLOAD], packets, 0, quiet)[PAYLOAD],
-            "xdma_noisy": run_xdma_sweep([PAYLOAD], packets, 0)[PAYLOAD],
-            "xdma_quiet": run_xdma_sweep([PAYLOAD], packets, 0, quiet)[PAYLOAD],
+            "virtio_noisy": run_sweep("virtio", [PAYLOAD], packets, 0)[PAYLOAD],
+            "virtio_quiet": run_sweep("virtio", [PAYLOAD], packets, 0, quiet)[PAYLOAD],
+            "xdma_noisy": run_sweep("xdma", [PAYLOAD], packets, 0)[PAYLOAD],
+            "xdma_quiet": run_sweep("xdma", [PAYLOAD], packets, 0, quiet)[PAYLOAD],
         }
 
     results = benchmark.pedantic(regenerate, rounds=1, iterations=1)

@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import attach_table
 from repro.core.calibration import PAPER_PROFILE
-from repro.core.experiments import run_xdma_sweep
+from repro.core.experiments import run_sweep
 
 PAYLOADS = (64, 1024)
 
@@ -19,9 +19,9 @@ PAYLOADS = (64, 1024)
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_xdma_c2h_interrupt(benchmark, packets):
     def regenerate():
-        favourable = run_xdma_sweep(payload_sizes=PAYLOADS, packets=packets, seed=0)
-        realistic = run_xdma_sweep(
-            payload_sizes=PAYLOADS, packets=packets, seed=0,
+        favourable = run_sweep("xdma", payload_sizes=PAYLOADS, packets=packets, seed=0)
+        realistic = run_sweep(
+            "xdma", payload_sizes=PAYLOADS, packets=packets, seed=0,
             profile=PAPER_PROFILE.with_xdma_c2h_interrupt(),
         )
         return favourable, realistic

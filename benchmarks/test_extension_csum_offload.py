@@ -20,7 +20,7 @@ import pytest
 
 from benchmarks.conftest import attach_table
 from repro.core.calibration import PAPER_PROFILE
-from repro.core.experiments import run_virtio_sweep
+from repro.core.experiments import run_sweep
 
 PAYLOADS = (64, 1024)
 
@@ -31,8 +31,8 @@ def test_extension_checksum_offload(benchmark, packets):
     offload_quiet = dataclasses.replace(quiet, offer_csum=True)
 
     def regenerate():
-        software = run_virtio_sweep(PAYLOADS, packets, 0, quiet)
-        offload = run_virtio_sweep(PAYLOADS, packets, 0, offload_quiet)
+        software = run_sweep("virtio", PAYLOADS, packets, 0, quiet)
+        offload = run_sweep("virtio", PAYLOADS, packets, 0, offload_quiet)
         return software, offload
 
     software, offload = benchmark.pedantic(regenerate, rounds=1, iterations=1)

@@ -8,6 +8,7 @@ as real (multi-round) pytest benchmarks.
 """
 
 import os
+import time
 from typing import Any, Dict
 
 import pytest
@@ -18,9 +19,9 @@ from repro.core.calibration import (
     PAPER_PROFILE,
     TEST_DST_PORT,
 )
+from repro.core.experiments import run_comparison
 from repro.core.latency import run_payload
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
-from repro.exec.runner import execute_comparison
 from repro.host.chardev import sys_read, sys_write
 from repro.mem.dma import DmaAllocator
 from repro.mem.physical import PhysicalMemory
@@ -249,10 +250,13 @@ def test_four_workers_beat_one(benchmark):
     if (os.cpu_count() or 1) < 4:
         pytest.skip("needs at least 4 CPUs")
 
+    def wall(jobs):
+        started = time.perf_counter()
+        run_comparison(PAPER_PAYLOAD_SIZES, 200, 0, PAPER_PROFILE, jobs=jobs)
+        return time.perf_counter() - started
+
     def walls():
-        _, serial = execute_comparison(PAPER_PAYLOAD_SIZES, 200, 0, PAPER_PROFILE, jobs=1)
-        _, pooled = execute_comparison(PAPER_PAYLOAD_SIZES, 200, 0, PAPER_PROFILE, jobs=4)
-        return serial.wall_s, pooled.wall_s
+        return wall(1), wall(4)
 
     serial_s, pooled_s = benchmark.pedantic(walls, rounds=1, iterations=1)
     assert pooled_s < serial_s, f"jobs=4 took {pooled_s:.2f}s, jobs=1 {serial_s:.2f}s"

@@ -305,10 +305,10 @@ def _parser() -> argparse.ArgumentParser:
         "--modes",
         choices=["bare", "trapped", "vhost"],
         nargs="+",
-        default=None,
+        default=["bare", "trapped", "vhost"],
         metavar="MODE",
         help="guest modes to sweep: bare, trapped, and/or vhost "
-        "(default: the REPRO_GUEST_MODE env knob if set, else all three)",
+        "(default: all three)",
     )
     guest.add_argument(
         "--transport",
@@ -491,7 +491,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.soak:
             packets = args.packets if args.packets is not None else default_packets(300)
             fault_rate = args.fault_rate if args.fault_rate is not None else 0.02
-            results, _ = run_overload_soak(
+            results = run_overload_soak(
                 packets=packets, seed=args.seed, payload_sizes=payloads,
                 fault_rate=fault_rate, jobs=jobs,
             )
@@ -500,7 +500,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             multipliers = (
                 tuple(args.multipliers) if args.multipliers else OVERLOAD_MULTIPLIERS
             )
-            results, _ = run_overload_sweep(
+            results = run_overload_sweep(
                 packets=packets, seed=args.seed, multipliers=multipliers,
                 rates=args.rate, arrival=args.distribution,
                 payload_sizes=payloads, fault_rate=args.fault_rate, jobs=jobs,
@@ -539,7 +539,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.tenant_rate if args.tenant_rate is not None
             else DEFAULT_TENANT_RATE_PPS
         )
-        result, _ = run_fleet_sweep(
+        result = run_fleet_sweep(
             pods=args.pods,
             tenants=args.tenants,
             packets=packets,
@@ -571,13 +571,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         payloads = (
             args.payloads if args.payloads is not None else list(PAPER_PAYLOAD_SIZES)
         )
-        if args.modes:
-            modes = tuple(dict.fromkeys(args.modes))  # dedupe, keep order
-        elif env.guest_mode() is not None:
-            modes = (env.guest_mode(),)
-        else:
-            modes = ("bare", "trapped", "vhost")
-        report, _ = run_guest_sweep(
+        modes = tuple(dict.fromkeys(args.modes))  # dedupe, keep order
+        report = run_guest_sweep(
             payload_sizes=payloads,
             packets=packets,
             seed=args.seed,

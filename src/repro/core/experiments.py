@@ -8,16 +8,18 @@ Packet counts default to a CI-friendly value; pass
 ``packets=PAPER_PACKETS_PER_SIZE`` (50 000) for full-fidelity runs.
 The ``REPRO_PACKETS`` environment variable overrides the default.
 
-Every entry point runs through :mod:`repro.exec`, which decomposes the
-run into independently seeded cells.  ``jobs`` is the worker count:
-``1`` (default) runs the cells in-process, ``N > 1`` fans them out over
-a process pool, and the output is byte-identical for any ``jobs``.
+Every entry point decomposes its run into independently seeded cells
+(:mod:`repro.exec.cells`), runs them with
+:func:`repro.exec.runner.run_cells` and merges the outcomes, in cell
+order, into its own result type.  ``jobs`` is the worker count: ``1``
+(default) runs the cells in-process, ``N > 1`` fans them out over a
+process pool, and the output is byte-identical for any ``jobs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.calibration import (
     PAPER_PAYLOAD_SIZES,
@@ -30,7 +32,20 @@ from repro.core.results import (
     breakdown_rows,
     render_breakdown,
 )
-from repro.exec.runner import execute_comparison, execute_load_sweep, execute_sweep
+from repro.exec.cells import (
+    Cell,
+    calibration_cells,
+    closed_sweep_cells,
+    latency_cells,
+    open_sweep_cells,
+)
+from repro.exec.runner import CellOutcome, run_cells
+from repro.workload.sweep import (
+    DEFAULT_MULTIPLIERS,
+    ClosedSweepResult,
+    LoadPoint,
+    LoadSweepResult,
+)
 
 
 def default_packets(fallback: int = 2000) -> int:
@@ -41,32 +56,35 @@ def default_packets(fallback: int = 2000) -> int:
     return env.packets(fallback)
 
 
-def run_virtio_sweep(
+def _latency_sweeps(
+    drivers: Sequence[str],
+    payload_sizes: Sequence[int],
+    packets: Optional[int],
+    seed: int,
+    profile: CalibrationProfile,
+    jobs: int,
+) -> Dict[str, SweepResult]:
+    """Each driver's payload sweep from one fan-out of driver x payload
+    latency cells, merged in cell order."""
+    if packets is None:
+        packets = default_packets()
+    cells = latency_cells(payload_sizes, packets, seed, profile, drivers=drivers)
+    sweeps = {driver: SweepResult(driver=driver, seed=seed) for driver in drivers}
+    for outcome in run_cells(cells, jobs):
+        sweeps[outcome.cell.driver].add(outcome.value)
+    return sweeps
+
+
+def run_sweep(
+    driver: str,
     payload_sizes: Sequence[int] = PAPER_PAYLOAD_SIZES,
     packets: Optional[int] = None,
     seed: int = 0,
     profile: CalibrationProfile = PAPER_PROFILE,
     jobs: int = 1,
 ) -> SweepResult:
-    """The VirtIO side of the evaluation."""
-    if packets is None:
-        packets = default_packets()
-    sweep, _ = execute_sweep("virtio", payload_sizes, packets, seed, profile, jobs)
-    return sweep
-
-
-def run_xdma_sweep(
-    payload_sizes: Sequence[int] = PAPER_PAYLOAD_SIZES,
-    packets: Optional[int] = None,
-    seed: int = 0,
-    profile: CalibrationProfile = PAPER_PROFILE,
-    jobs: int = 1,
-) -> SweepResult:
-    """The XDMA side of the evaluation."""
-    if packets is None:
-        packets = default_packets()
-    sweep, _ = execute_sweep("xdma", payload_sizes, packets, seed, profile, jobs)
-    return sweep
+    """One driver's side of the evaluation (``"virtio"`` or ``"xdma"``)."""
+    return _latency_sweeps((driver,), payload_sizes, packets, seed, profile, jobs)[driver]
 
 
 def run_comparison(
@@ -81,10 +99,8 @@ def run_comparison(
     Both drivers' cells share one fan-out, so the pool is loaded with
     all driver x payload cells at once.
     """
-    if packets is None:
-        packets = default_packets()
-    comparison, _ = execute_comparison(payload_sizes, packets, seed, profile, jobs)
-    return comparison
+    sweeps = _latency_sweeps(("virtio", "xdma"), payload_sizes, packets, seed, profile, jobs)
+    return ComparisonResult(virtio=sweeps["virtio"], xdma=sweeps["xdma"])
 
 
 # -- Figure 3: round-trip latency distributions ------------------------------------
@@ -123,7 +139,7 @@ def figure4(
     jobs: int = 1,
 ) -> Tuple[SweepResult, str]:
     """Fig. 4: VirtIO hardware/software breakdown."""
-    sweep = run_virtio_sweep(payload_sizes, packets, seed, profile, jobs)
+    sweep = run_sweep("virtio", payload_sizes, packets, seed, profile, jobs)
     return sweep, render_breakdown(
         sweep, "Figure 4: VirtIO data-movement latency breakdown"
     )
@@ -137,7 +153,7 @@ def figure5(
     jobs: int = 1,
 ) -> Tuple[SweepResult, str]:
     """Fig. 5: XDMA hardware/software breakdown."""
-    sweep = run_xdma_sweep(payload_sizes, packets, seed, profile, jobs)
+    sweep = run_sweep("xdma", payload_sizes, packets, seed, profile, jobs)
     return sweep, render_breakdown(
         sweep, "Figure 5: XDMA data-movement latency breakdown"
     )
@@ -161,6 +177,45 @@ def table1(
 # -- Load sweep (workload-engine extension, beyond the paper) ---------------------------
 
 
+def calibrated_points(
+    drivers: Sequence[str],
+    point_cells: Callable[[str, List[float]], List[Cell]],
+    multipliers: Sequence[float],
+    rates: Optional[Sequence[float]],
+    payload_sizes: Sequence[int],
+    packets: int,
+    seed: int,
+    profile: CalibrationProfile,
+    jobs: int,
+) -> Dict[str, Tuple[Tuple[float, float], List[CellOutcome]]]:
+    """The calibrate-then-place open-loop fan-out.
+
+    Runs every driver's calibration cell, places its offered points
+    (the explicit ``rates``, else ``multipliers`` times its measured
+    base rate), and runs every driver x point cell that
+    ``point_cells(driver, offered)`` builds in one fan-out.  Returns
+    ``driver -> ((base_rtt_us, base_rate_pps), point outcomes)``, the
+    outcomes in cell order.
+    """
+    if not rates and not multipliers:
+        raise ValueError("an open-loop sweep needs at least one offered-load point")
+    calibration = run_cells(
+        calibration_cells(drivers, payload_sizes, packets, seed, profile), jobs
+    )
+    base: Dict[str, Tuple[float, float]] = {
+        outcome.cell.driver: outcome.value for outcome in calibration
+    }
+    cells: List[Cell] = []
+    for driver in drivers:
+        _, base_rate = base[driver]
+        offered = list(rates) if rates else [m * base_rate for m in multipliers]
+        cells.extend(point_cells(driver, offered))
+    points: Dict[str, List[CellOutcome]] = {driver: [] for driver in drivers}
+    for outcome in run_cells(cells, jobs):
+        points[outcome.cell.driver].append(outcome)
+    return {driver: (base[driver], points[driver]) for driver in drivers}
+
+
 def run_load_sweep(
     drivers: Sequence[str] = ("virtio", "xdma"),
     packets: Optional[int] = None,
@@ -179,7 +234,8 @@ def run_load_sweep(
     at explicit ``rates``), reporting throughput-vs-load and
     p50/p95/p99-vs-load tables plus the saturation knee.  Passing
     ``outstanding`` switches to a closed-loop sweep over those
-    outstanding-request counts instead.
+    outstanding-request counts instead, one driver x outstanding
+    fan-out.
 
     Returns ``(results, text)`` where ``results`` maps driver name to a
     :class:`repro.workload.sweep.LoadSweepResult` (or
@@ -187,11 +243,44 @@ def run_load_sweep(
     """
     if packets is None:
         packets = default_packets(400)
-    results, _ = execute_load_sweep(
-        drivers=drivers, packets=packets, seed=seed,
-        profile=profile, rates=rates, outstanding=outstanding, arrival=arrival,
-        payload_sizes=payload_sizes, jobs=jobs,
-    )
+    results: dict = {}
+    if outstanding:
+        cells = [
+            cell
+            for driver in drivers
+            for cell in closed_sweep_cells(
+                driver, outstanding, payload_sizes, packets, seed, profile
+            )
+        ]
+        points: Dict[str, list] = {driver: [] for driver in drivers}
+        for outcome in run_cells(cells, jobs):
+            points[outcome.cell.driver].append(outcome.value)
+        for driver in drivers:
+            results[driver] = ClosedSweepResult(
+                driver=driver, seed=seed, points=points[driver]
+            )
+    else:
+        def point_cells(driver: str, offered: List[float]) -> List[Cell]:
+            return open_sweep_cells(
+                driver, offered, payload_sizes, packets, seed, arrival, profile
+            )
+
+        swept = calibrated_points(
+            drivers, point_cells, DEFAULT_MULTIPLIERS, rates, payload_sizes,
+            packets, seed, profile, jobs,
+        )
+        for driver, ((rtt_us, base_rate), outcomes) in swept.items():
+            results[driver] = LoadSweepResult(
+                driver=driver,
+                seed=seed,
+                arrival_kind=arrival,
+                base_rtt_us=rtt_us,
+                base_rate_pps=base_rate,
+                points=[
+                    LoadPoint(offered_pps=o.cell.rate_pps, metrics=o.value)
+                    for o in outcomes
+                ],
+            )
     blocks = [results[driver].render() for driver in drivers]
     title = (
         "Load sweep (closed loop)" if outstanding

@@ -26,7 +26,6 @@ from typing import Any, Dict, Generator, List, Optional
 from repro.host.kernel import HostKernel
 from repro.pcie.config_space import CAP_ID_MSIX
 from repro.pcie.enumeration import DiscoveredFunction
-from repro.pcie.msi import MSI_ADDRESS_BASE, MSIX_ENTRY_SIZE
 from repro.virtio.constants import (
     STATUS_ACKNOWLEDGE,
     STATUS_DRIVER,
@@ -36,7 +35,12 @@ from repro.virtio.constants import (
     VIRTIO_ISR_QUEUE,
     VIRTIO_PCI_VENDOR_ID,
 )
-from repro.drivers.virtio_pci import VirtioProbeError
+from repro.drivers.virtio_pci import (
+    VirtioProbeError,
+    enable_msix,
+    read_msix_table_addr,
+    write_msix_entry,
+)
 from repro.virtio.features import FeatureSet, negotiate
 from repro.virtio.mmio_transport import (
     MMIO_CONFIG,
@@ -120,19 +124,11 @@ class VirtioMmioTransport:
                 f"build the device with mmio_window=True)"
             )
         self.base = window.address
-        port = self.function.port
         for cap in self.function.capabilities:
             if cap.cap_id == CAP_ID_MSIX:
-                raw = bytearray()
-                for chunk in range(0, 12, 4):
-                    raw += yield port.cfg_read(cap.offset + chunk, 4)
-                table = int.from_bytes(raw[4:8], "little")
-                table_bar = table & 0x7
-                table_offset = table & ~0x7
-                discovered_bar = self.function.bars.get(table_bar)
-                if discovered_bar is None:
-                    raise VirtioProbeError(f"MSI-X table in unassigned BAR {table_bar}")
-                self.msix_table_addr = discovered_bar.address + table_offset
+                self.msix_table_addr = yield from read_msix_table_addr(
+                    self.function, cap.offset
+                )
                 self.msix_cap_offset = cap.offset
         if not self.msix_table_addr:
             raise VirtioProbeError("device lacks MSI-X")
@@ -145,20 +141,6 @@ class VirtioMmioTransport:
         self.device_id = yield from self._read(MMIO_DEVICE_ID)
         if self.device_id == 0:
             raise VirtioProbeError("virtio-mmio placeholder device (ID 0)")
-
-    # -- MSI-X plumbing (the VMM/platform shim behind the one line) ------------------
-
-    def _setup_msix_entry(self, entry: int, vector: int) -> Generator[Any, Any, None]:
-        base = self.msix_table_addr + entry * MSIX_ENTRY_SIZE
-        yield self.kernel.mmio_write(base, MSI_ADDRESS_BASE.to_bytes(8, "little"))
-        yield self.kernel.mmio_write(base + 8, vector.to_bytes(4, "little"))
-        yield self.kernel.mmio_write(base + 12, (0).to_bytes(4, "little"))
-
-    def _enable_msix(self) -> Generator[Any, Any, None]:
-        port = self.function.port
-        ctrl_raw = yield port.cfg_read(self.msix_cap_offset + 2, 2)
-        ctrl = int.from_bytes(ctrl_raw, "little") | 0x8000
-        yield port.cfg_write(self.msix_cap_offset + 2, ctrl.to_bytes(2, "little"))
 
     # -- initialization -------------------------------------------------------------
 
@@ -193,8 +175,10 @@ class VirtioMmioTransport:
         # across re-initialization, like the PCI config vector.)
         if self.host_vector < 0:
             self.host_vector = self.kernel.irqc.allocate_vector()
-        yield from self._setup_msix_entry(CONFIG_IRQ_ENTRY, self.host_vector)
-        yield from self._setup_msix_entry(QUEUE_IRQ_ENTRY, self.host_vector)
+        for entry in (CONFIG_IRQ_ENTRY, QUEUE_IRQ_ENTRY):
+            yield from write_msix_entry(
+                self.kernel, self.msix_table_addr, entry, self.host_vector
+            )
 
         # Queue setup: probe QueueSel until QueueNumMax reads 0.
         for index in range(MAX_PROBED_QUEUES):
@@ -216,7 +200,7 @@ class VirtioMmioTransport:
             yield from self._write(MMIO_QUEUE_READY, 1)
             self.virtqueues.append(vq)
 
-        yield from self._enable_msix()
+        yield from enable_msix(self.function, self.msix_cap_offset)
         yield from self._write(MMIO_STATUS, status | STATUS_DRIVER_OK)
         if not self._isr_registered:
             self.kernel.irqc.register(self.host_vector, self._interrupt)

@@ -168,10 +168,6 @@ class VirtioNetDriver:
     # scalars/dicts; with one pair they are exactly the pair-0 state.
 
     @property
-    def napi(self) -> Optional[NapiContext]:
-        return self.napis[0] if self.napis else None
-
-    @property
     def _rx_buffers(self) -> Dict[int, DmaBuffer]:
         merged: Dict[int, DmaBuffer] = {}
         for pool in self._rx_pools:
@@ -647,14 +643,3 @@ class VirtioNetDriver:
         """VIRTIO_NET_CTRL_RX / PROMISC."""
         ack = yield from self.send_ctrl_command(0, 0, bytes([1 if enabled else 0]))
         return ack
-
-    # -- diagnostics ---------------------------------------------------------------------------
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        return {
-            "tx_kicks": self.tx_kicks,
-            "rx_irqs": self.rx_irqs,
-            "tx_outstanding": self._tx_outstanding,
-            "rx_posted": sum(len(pool) for pool in self._rx_pools),
-        }

@@ -44,6 +44,46 @@ class VirtioProbeError(RuntimeError):
     """Device rejected initialization or lacks required structures."""
 
 
+# -- MSI-X plumbing (shared with the virtio-mmio transport) ---------------------------
+
+
+def read_msix_table_addr(
+    function: DiscoveredFunction, cap_offset: int
+) -> Generator[Any, Any, int]:
+    """Read the MSI-X capability at *cap_offset* (via config reads on
+    the wire) and return the host address of its vector table."""
+    raw = bytearray()
+    for chunk in range(0, 12, 4):
+        raw += yield function.port.cfg_read(cap_offset + chunk, 4)
+    table = int.from_bytes(raw[4:8], "little")
+    table_bar = table & 0x7
+    table_offset = table & ~0x7
+    discovered_bar = function.bars.get(table_bar)
+    if discovered_bar is None:
+        raise VirtioProbeError(f"MSI-X table in unassigned BAR {table_bar}")
+    return discovered_bar.address + table_offset
+
+
+def write_msix_entry(
+    kernel: HostKernel, table_addr: int, entry: int, vector: int
+) -> Generator[Any, Any, None]:
+    """Program and unmask MSI-X table *entry*, with the host-allocated
+    *vector* as the message data (the controller's dispatch key), as
+    ``pci_alloc_irq_vectors`` + table setup do."""
+    base = table_addr + entry * MSIX_ENTRY_SIZE
+    yield kernel.mmio_write(base, MSI_ADDRESS_BASE.to_bytes(8, "little"))
+    yield kernel.mmio_write(base + 8, vector.to_bytes(4, "little"))
+    yield kernel.mmio_write(base + 12, (0).to_bytes(4, "little"))
+
+
+def enable_msix(function: DiscoveredFunction, cap_offset: int) -> Generator[Any, Any, None]:
+    """Set the MSI-X enable bit in message control."""
+    port = function.port
+    ctrl_raw = yield port.cfg_read(cap_offset + 2, 2)
+    ctrl = int.from_bytes(ctrl_raw, "little") | 0x8000
+    yield port.cfg_write(cap_offset + 2, ctrl.to_bytes(2, "little"))
+
+
 @dataclass
 class _StructureWindow:
     """Absolute host address of one VirtIO structure."""
@@ -132,16 +172,9 @@ class VirtioPciTransport:
                     window.notify_off_multiplier = int.from_bytes(raw[16:20], "little")
                 self.windows[cfg_type] = window
             elif cap.cap_id == CAP_ID_MSIX:
-                raw = bytearray()
-                for chunk in range(0, 12, 4):
-                    raw += yield port.cfg_read(cap.offset + chunk, 4)
-                table = int.from_bytes(raw[4:8], "little")
-                table_bar = table & 0x7
-                table_offset = table & ~0x7
-                discovered_bar = self.function.bars.get(table_bar)
-                if discovered_bar is None:
-                    raise VirtioProbeError(f"MSI-X table in unassigned BAR {table_bar}")
-                self.msix_table_addr = discovered_bar.address + table_offset
+                self.msix_table_addr = yield from read_msix_table_addr(
+                    self.function, cap.offset
+                )
                 self.msix_cap_offset = cap.offset
         required = (
             VIRTIO_PCI_CAP_COMMON_CFG,
@@ -158,21 +191,10 @@ class VirtioPciTransport:
     # -- MSI-X programming --------------------------------------------------------------
 
     def setup_msix_entry(self, entry: int, vector: int) -> Generator[Any, Any, None]:
-        """Program and unmask MSI-X table *entry*, with the host-
-        allocated *vector* as the message data (the controller's
-        dispatch key), as ``pci_alloc_irq_vectors`` + table setup do."""
-        base = self.msix_table_addr + entry * MSIX_ENTRY_SIZE
-        yield self.kernel.mmio_write(base, MSI_ADDRESS_BASE.to_bytes(8, "little"))
-        yield self.kernel.mmio_write(base + 8, vector.to_bytes(4, "little"))
-        yield self.kernel.mmio_write(base + 12, (0).to_bytes(4, "little"))
+        """Program MSI-X table *entry* with *vector*, counting the
+        entries in use."""
+        yield from write_msix_entry(self.kernel, self.msix_table_addr, entry, vector)
         self.msix_vectors_used = max(self.msix_vectors_used, entry + 1)
-
-    def enable_msix(self) -> Generator[Any, Any, None]:
-        """Set the MSI-X enable bit in message control."""
-        port = self.function.port
-        ctrl_raw = yield port.cfg_read(self.msix_cap_offset + 2, 2)
-        ctrl = int.from_bytes(ctrl_raw, "little") | 0x8000
-        yield port.cfg_write(self.msix_cap_offset + 2, ctrl.to_bytes(2, "little"))
 
     # -- initialization handshake ------------------------------------------------------------
 
@@ -249,7 +271,7 @@ class VirtioPciTransport:
             self.virtqueues.append(vq)
             self.queue_vectors_assigned.append(vector)
 
-        yield from self.enable_msix()
+        yield from enable_msix(self.function, self.msix_cap_offset)
         yield from self.common_write("device_status", status | STATUS_DRIVER_OK)
 
     def reset_runtime_state(self) -> None:

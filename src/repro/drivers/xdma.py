@@ -24,7 +24,7 @@ read is available via :meth:`enable_c2h_notification` (ablation A1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.fpga.xdma import regs
 from repro.fpga.xdma.descriptor import XdmaDescriptor
@@ -104,8 +104,6 @@ class XdmaCharDriver(CharDevice):
 
         self._h2c_lock = Mutex(kernel.sim, name=f"{name}.h2c-lock")
         self._c2h_lock = Mutex(kernel.sim, name=f"{name}.c2h-lock")
-        self.h2c_transfers = 0
-        self.c2h_transfers = 0
         self.interrupts = 0
         # Bounded submission window (overload layer): with ``max_pending``
         # set, requests beyond the window are rejected to the caller with
@@ -389,7 +387,6 @@ class XdmaCharDriver(CharDevice):
                 regs.H2C_CHANNEL_BASE, regs.H2C_SGDMA_BASE, self._h2c_desc, descriptor,
                 "_h2c_done",
             )
-            self.h2c_transfers += 1
         finally:
             self.pending -= 1
             self._h2c_lock.release()
@@ -414,7 +411,6 @@ class XdmaCharDriver(CharDevice):
                 regs.C2H_CHANNEL_BASE, regs.C2H_SGDMA_BASE, self._c2h_desc, descriptor,
                 "_c2h_done",
             )
-            self.c2h_transfers += 1
             if self._c2h_notify:
                 self._readable = Event(name=f"{self.name}.readable")
             data = self._c2h_data.read(0, length)
@@ -425,13 +421,3 @@ class XdmaCharDriver(CharDevice):
 
     def poll_readable(self) -> Event:
         return self._readable
-
-    # -- diagnostics ----------------------------------------------------------------------------------------
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        return {
-            "h2c_transfers": self.h2c_transfers,
-            "c2h_transfers": self.c2h_transfers,
-            "interrupts": self.interrupts,
-        }

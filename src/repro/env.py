@@ -1,10 +1,10 @@
 """One validated reader for every ``REPRO_*`` environment knob.
 
 The knobs accumulated across subsystems (packet-count override,
-guest mode default, result cache, snapshot boot reuse), each with its
-own parsing and its own failure behavior -- a typo in one silently
-fell back to the default while a typo in another raised.  This module
-is the single source of truth: every knob is declared here with its
+result cache, snapshot boot reuse), each with its own parsing and its
+own failure behavior -- a typo in one silently fell back to the
+default while a typo in another raised.  This module is the single
+source of truth: every knob is declared here with its
 accepted values, every reader validates, and an unknown value always
 raises :class:`EnvError` naming the variable, the offending value, and
 what would have been accepted.
@@ -18,10 +18,6 @@ Knobs
 ``REPRO_PACKETS``
     Positive integer: packets per payload size / load point, overriding
     artifact defaults (the paper used 50000).
-``REPRO_GUEST_MODE``
-    ``bare``, ``trapped``, or ``vhost``: default guest mode set for the
-    ``guestsweep`` artifact when ``--modes`` is not given (unset: all
-    three modes are swept).
 ``REPRO_CACHE``
     Flag: consult and populate the content-addressed cell result cache
     (the CLI's ``--cache``/``--no-cache`` flags override it).
@@ -41,7 +37,7 @@ is an error rather than a guess.
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class EnvError(ValueError):
@@ -53,7 +49,6 @@ class EnvError(ValueError):
 #: map is what :func:`check_environment` sweeps).
 KNOWN_KNOBS = {
     "REPRO_PACKETS": "a positive integer",
-    "REPRO_GUEST_MODE": "'bare', 'trapped', or 'vhost'",
     "REPRO_CACHE": "'1' or '0'",
     "REPRO_CACHE_DIR": "a directory path (created if missing)",
     "REPRO_SNAPSHOT_BOOT": "'1' (default) or '0'",
@@ -75,17 +70,6 @@ def _flag(name: str) -> bool:
     )
 
 
-def _choice(name: str, allowed: Tuple[str, ...]) -> Optional[str]:
-    value = _raw(name)
-    if not value:
-        return None
-    if value not in allowed:
-        raise EnvError(
-            f"{name} must be {KNOWN_KNOBS[name]}, got {value!r}"
-        )
-    return value
-
-
 def packets(fallback: Optional[int] = None) -> Optional[int]:
     """``REPRO_PACKETS`` as a positive int, or *fallback* when unset."""
     value = _raw("REPRO_PACKETS")
@@ -100,11 +84,6 @@ def packets(fallback: Optional[int] = None) -> Optional[int]:
     if count <= 0:
         raise EnvError(f"REPRO_PACKETS must be positive, got {count}")
     return count
-
-
-def guest_mode() -> Optional[str]:
-    """``REPRO_GUEST_MODE``: default guestsweep mode, or None (all)."""
-    return _choice("REPRO_GUEST_MODE", ("bare", "trapped", "vhost"))
 
 
 def result_cache() -> bool:
@@ -142,7 +121,6 @@ def check_environment() -> None:
     """Validate every set knob at once (CLI startup hook): one clear
     error up front instead of a late failure deep inside a worker."""
     packets()
-    guest_mode()
     result_cache()
     cache_dir()
     snapshot_boot()

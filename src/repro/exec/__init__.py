@@ -5,9 +5,10 @@ payload for the latency artifacts (Fig. 3/4/5, Table I), driver x
 offered-rate point for the load sweeps -- each of which boots its own
 testbed from a seed derived via :class:`numpy.random.SeedSequence`
 spawn keys.  Cells run across a :class:`concurrent.futures.ProcessPoolExecutor`
-and merge back into the existing result types in deterministic cell
-order, so a run's output is bit-identical for a given root seed
-regardless of worker count or completion order.
+and come back in deterministic cell order, and each artifact merges
+them into its own result type in that order, so a run's output is
+bit-identical for a given root seed regardless of worker count or
+completion order.
 
 Two caching layers make re-runs near-free: the content-addressed
 result cache (:mod:`repro.exec.cache`) returns unchanged cells from
@@ -34,20 +35,11 @@ from repro.exec.cells import (
     latency_cells,
     seed_identity,
 )
-from repro.exec.runner import (
-    CellOutcome,
-    ExecutionStats,
-    execute_cell,
-    execute_comparison,
-    execute_load_sweep,
-    execute_sweep,
-    run_cells,
-)
+from repro.exec.runner import CellOutcome, execute_cell, run_cells
 
 __all__ = [
     "Cell",
     "CellOutcome",
-    "ExecutionStats",
     "ResultCache",
     "active_cache",
     "cache_stats",
@@ -57,9 +49,6 @@ __all__ = [
     "configure",
     "derive_cell_seed",
     "execute_cell",
-    "execute_comparison",
-    "execute_load_sweep",
-    "execute_sweep",
     "latency_cells",
     "run_cells",
     "seed_identity",

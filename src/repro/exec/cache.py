@@ -36,7 +36,7 @@ Entry format and corruption
 ---------------------------
 
 Entries live at ``<dir>/<key[:2]>/<key>.entry`` as ``magic + sha256 +
-pickle((value, events, wall_s))``, written via a temp file and
+pickle((value, events))``, written via a temp file and
 ``os.replace`` so readers never see a half-written entry.  A missing
 file, bad magic, checksum mismatch, or unpicklable payload is treated
 as a miss -- a corrupted cache can cost time, never correctness.
@@ -58,7 +58,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Entry-format magic; bump when the payload layout changes (old
 #: entries then read as corrupt, i.e. as misses).
-_MAGIC = b"RPC1"
+_MAGIC = b"RPC2"
 
 #: ``repro`` sources outside the code fingerprint, relative to the
 #: package and ``/``-separated: they decide which cells run and where
@@ -200,21 +200,18 @@ class ResultCache:
             self.stats.misses += 1
             return None
         try:
-            value, events, wall_s = pickle.loads(payload)
+            value, events = pickle.loads(payload)
         except Exception:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
         self.stats.hit_bytes += len(data)
-        return CellOutcome(
-            cell=cell, value=value, events=events, wall_s=wall_s, cached=True
-        )
+        return CellOutcome(cell=cell, value=value, events=events, cached=True)
 
     def put(self, cell: Any, outcome: Any) -> None:
         """Store *outcome* atomically (temp file + ``os.replace``)."""
         payload = pickle.dumps(
-            (outcome.value, outcome.events, outcome.wall_s),
-            protocol=pickle.HIGHEST_PROTOCOL,
+            (outcome.value, outcome.events), protocol=pickle.HIGHEST_PROTOCOL
         )
         data = _MAGIC + hashlib.sha256(payload).digest() + payload
         path = self._path(self.key(cell))

@@ -1,14 +1,14 @@
-"""Process-pool execution of cells and the deterministic merge.
+"""Process-pool execution of cells.
 
 ``execute_cell`` is a pure function of its :class:`~repro.exec.cells.Cell`
 (it boots a fresh testbed from the cell's derived seed), so running
 cells across a process pool cannot change any result -- only the
-wall-clock time.  Results are merged back into the existing
-:class:`~repro.core.results.SweepResult` /
-:class:`~repro.core.results.ComparisonResult` /
-:class:`~repro.workload.sweep.LoadSweepResult` types **in cell
-construction order**, never completion order, which is what makes the
-output byte-identical across ``jobs=1``, ``jobs=2``, ``jobs=4``.
+wall-clock time.  :func:`run_cells` returns the outcomes **in cell
+construction order**, never completion order, and each artifact
+merges them into its own result type in that order, which is what
+makes the output byte-identical across ``jobs=1``, ``jobs=2``,
+``jobs=4``.  This module knows cells, not artifacts: it builds no
+result type.
 
 ``jobs=1`` runs the same cells in-process (no pool), so it doubles as
 the bit-exact reference for the pool path and keeps single-core runs
@@ -36,34 +36,18 @@ import atexit
 import gc
 import multiprocessing
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.core.calibration import PAPER_PROFILE, CalibrationProfile
 from repro.core.latency import run_payload
-from repro.core.results import ComparisonResult, SweepResult
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
 from repro.exec import cache as result_cache
 from repro.exec import snapshot
-from repro.exec.cells import (
-    Cell,
-    calibration_cells,
-    closed_sweep_cells,
-    fault_cells,
-    latency_cells,
-    open_sweep_cells,
-)
+from repro.exec.cells import Cell
 from repro.workload.generator import ClosedLoopGenerator, OpenLoopGenerator
-from repro.workload.sweep import (
-    CALIBRATION_PACKETS,
-    DEFAULT_MULTIPLIERS,
-    ClosedSweepResult,
-    LoadPoint,
-    LoadSweepResult,
-)
+from repro.workload.sweep import CALIBRATION_PACKETS
 
 
 class ExecutionError(RuntimeError):
@@ -77,26 +61,8 @@ class CellOutcome:
     cell: Cell
     value: Any  # PayloadResult | RunMetrics | (rtt_us, rate_pps)
     events: int  # simulator events the cell executed (perf accounting)
-    wall_s: float  # worker-side wall clock for the cell
     cached: bool = False  # served from the result cache, not executed
     boot_reused: bool = False  # measured off a pristine boot snapshot
-
-
-@dataclass
-class ExecutionStats:
-    """Aggregate accounting for one fan-out."""
-
-    jobs: int
-    cells: int
-    events: int
-    wall_s: float  # end-to-end wall clock of the fan-out
-    cell_wall_s: float  # sum of per-cell worker wall clocks
-    cache_hits: int = 0  # cells served from the result cache
-    boot_reuses: int = 0  # cells stamped from a boot snapshot
-
-    @property
-    def events_per_second(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
 
 def _builder(driver: str):
@@ -268,16 +234,9 @@ def _cell_plan(cell: Cell):
 
 
 def _execute_cell(cell: Cell) -> CellOutcome:
-    started = time.perf_counter()
     key, boot, measure = _cell_plan(cell)
     (value, events), boot_reused = snapshot.execute(key, boot, measure)
-    return CellOutcome(
-        cell=cell,
-        value=value,
-        events=events,
-        wall_s=time.perf_counter() - started,
-        boot_reused=boot_reused,
-    )
+    return CellOutcome(cell=cell, value=value, events=events, boot_reused=boot_reused)
 
 
 def _pool_context():
@@ -296,10 +255,10 @@ def _warm_worker() -> None:
 
 
 # The warm pool: constructed on the first jobs>1 fan-out and reused by
-# every later one (``execute_load_sweep`` alone performs two fan-outs
-# per call).  Reuse also keeps worker-process caches warm across
-# fan-outs -- imported model modules and the ``lru_cache``-backed TLP
-# segmentation plans survive from cell to cell, which a throwaway
+# every later one (a calibrated open-loop sweep alone performs two
+# fan-outs per call).  Reuse also keeps worker-process caches warm
+# across fan-outs -- imported model modules and the ``lru_cache``-backed
+# TLP segmentation plans survive from cell to cell, which a throwaway
 # executor forfeits.
 _POOL: Optional[ProcessPoolExecutor] = None
 _POOL_WORKERS = 0
@@ -380,169 +339,3 @@ def run_cells(cells: Sequence[Cell], jobs: int = 1) -> List[CellOutcome]:
     # parent-side counter cache_stats() reports.
     snapshot.note_parent_reuses(sum(1 for o in outcomes if o.boot_reused))
     return outcomes
-
-
-def _stats(outcomes: Sequence[CellOutcome], jobs: int, wall_s: float) -> ExecutionStats:
-    return ExecutionStats(
-        jobs=jobs,
-        cells=len(outcomes),
-        events=sum(o.events for o in outcomes),
-        wall_s=wall_s,
-        cell_wall_s=sum(o.wall_s for o in outcomes),
-        cache_hits=sum(1 for o in outcomes if o.cached),
-        boot_reuses=sum(1 for o in outcomes if o.boot_reused),
-    )
-
-
-# -- artifact-level entry points ---------------------------------------------------
-
-
-def execute_sweep(
-    driver: str,
-    payload_sizes: Sequence[int],
-    packets: int,
-    seed: int = 0,
-    profile: CalibrationProfile = PAPER_PROFILE,
-    jobs: int = 1,
-) -> Tuple[SweepResult, ExecutionStats]:
-    """One driver's payload sweep via the cell engine."""
-    started = time.perf_counter()
-    cells = latency_cells(payload_sizes, packets, seed, profile, drivers=(driver,))
-    outcomes = run_cells(cells, jobs)
-    sweep = SweepResult(driver=driver, seed=seed)
-    for outcome in outcomes:
-        sweep.add(outcome.value)
-    return sweep, _stats(outcomes, jobs, time.perf_counter() - started)
-
-
-def execute_comparison(
-    payload_sizes: Sequence[int],
-    packets: int,
-    seed: int = 0,
-    profile: CalibrationProfile = PAPER_PROFILE,
-    jobs: int = 1,
-) -> Tuple[ComparisonResult, ExecutionStats]:
-    """Both drivers' sweeps via the cell engine (one shared fan-out, so
-    all driver x payload cells load the pool at once)."""
-    started = time.perf_counter()
-    cells = latency_cells(payload_sizes, packets, seed, profile)
-    outcomes = run_cells(cells, jobs)
-    sweeps = {
-        "virtio": SweepResult(driver="virtio", seed=seed),
-        "xdma": SweepResult(driver="xdma", seed=seed),
-    }
-    for outcome in outcomes:
-        sweeps[outcome.cell.driver].add(outcome.value)
-    comparison = ComparisonResult(virtio=sweeps["virtio"], xdma=sweeps["xdma"])
-    return comparison, _stats(outcomes, jobs, time.perf_counter() - started)
-
-
-#: driver -> [(fault_rate, PayloadResult, reliability dict)] in rate order.
-FaultSweepResults = Dict[str, List[Tuple[float, Any, Dict[str, Any]]]]
-
-
-def execute_fault_sweep(
-    rates: Sequence[float],
-    payload: int = 64,
-    packets: int = 300,
-    seed: int = 0,
-    profile: CalibrationProfile = PAPER_PROFILE,
-    drivers: Sequence[str] = ("virtio", "xdma"),
-    jobs: int = 1,
-) -> Tuple[FaultSweepResults, ExecutionStats]:
-    """Driver x fault-rate fan-out via the cell engine.
-
-    Each cell measures one ping-pong run under that driver's
-    characteristic fault (lost notifications for VirtIO, descriptor
-    errors for XDMA) at the given Bernoulli rate, and collects a
-    :class:`~repro.faults.ReliabilityReport`.  Results merge in cell
-    construction order, bit-identical across ``jobs``.
-    """
-    started = time.perf_counter()
-    cells = fault_cells(drivers, rates, payload, packets, seed, profile)
-    outcomes = run_cells(cells, jobs)
-    results: FaultSweepResults = {driver: [] for driver in drivers}
-    for outcome in outcomes:
-        payload_result, report = outcome.value
-        results[outcome.cell.driver].append(
-            (outcome.cell.fault_rate, payload_result, report)
-        )
-    return results, _stats(outcomes, jobs, time.perf_counter() - started)
-
-
-LoadResults = Dict[str, Union[LoadSweepResult, ClosedSweepResult]]
-
-
-def execute_load_sweep(
-    drivers: Sequence[str] = ("virtio", "xdma"),
-    packets: int = 400,
-    seed: int = 0,
-    profile: CalibrationProfile = PAPER_PROFILE,
-    rates: Optional[Sequence[float]] = None,
-    outstanding: Optional[Sequence[int]] = None,
-    arrival: str = "poisson",
-    payload_sizes: Sequence[int] = (64,),
-    jobs: int = 1,
-) -> Tuple[LoadResults, ExecutionStats]:
-    """Load sweeps for all drivers via the cell engine.
-
-    Open-loop sweeps are two fan-outs: all drivers' calibration cells
-    first (their base rates place the load points), then every
-    driver x rate cell at once.  Closed-loop sweeps are a single
-    driver x outstanding fan-out.
-    """
-    started = time.perf_counter()
-    results: LoadResults = {}
-    if outstanding:
-        cells: List[Cell] = []
-        for driver in drivers:
-            cells.extend(
-                closed_sweep_cells(driver, outstanding, payload_sizes, packets,
-                                   seed, profile)
-            )
-        outcomes = run_cells(cells, jobs)
-        per_driver: Dict[str, list] = {driver: [] for driver in drivers}
-        for outcome in outcomes:
-            per_driver[outcome.cell.driver].append(outcome.value)
-        for driver in drivers:
-            results[driver] = ClosedSweepResult(
-                driver=driver, seed=seed, points=per_driver[driver]
-            )
-        return results, _stats(outcomes, jobs, time.perf_counter() - started)
-
-    cal_cells = calibration_cells(drivers, payload_sizes, packets, seed, profile)
-    cal_outcomes = run_cells(cal_cells, jobs)
-    base: Dict[str, Tuple[float, float]] = {
-        outcome.cell.driver: outcome.value for outcome in cal_outcomes
-    }
-
-    point_cells: List[Cell] = []
-    offered: Dict[str, List[float]] = {}
-    for driver in drivers:
-        _, base_rate = base[driver]
-        offered[driver] = list(rates) if rates else [m * base_rate for m in DEFAULT_MULTIPLIERS]
-        if not offered[driver]:
-            raise ExecutionError("load sweep needs at least one offered-load point")
-        point_cells.extend(
-            open_sweep_cells(driver, offered[driver], payload_sizes, packets,
-                             seed, arrival, profile)
-        )
-    point_outcomes = run_cells(point_cells, jobs)
-
-    per_driver_points: Dict[str, List[LoadPoint]] = {driver: [] for driver in drivers}
-    for outcome in point_outcomes:
-        per_driver_points[outcome.cell.driver].append(
-            LoadPoint(offered_pps=outcome.cell.rate_pps, metrics=outcome.value)
-        )
-    for driver in drivers:
-        rtt_us, base_rate = base[driver]
-        results[driver] = LoadSweepResult(
-            driver=driver,
-            seed=seed,
-            arrival_kind=arrival,
-            base_rtt_us=rtt_us,
-            base_rate_pps=base_rate,
-            points=per_driver_points[driver],
-        )
-    all_outcomes = list(cal_outcomes) + list(point_outcomes)
-    return results, _stats(all_outcomes, jobs, time.perf_counter() - started)

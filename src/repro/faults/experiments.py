@@ -30,6 +30,8 @@ import numpy as np
 
 from repro.core.calibration import PAPER_PROFILE, CalibrationProfile
 from repro.core.experiments import default_packets
+from repro.exec.cells import Cell, fault_cells
+from repro.exec.runner import run_cells
 from repro.faults.plan import reset_storm_plan
 
 #: Default per-opportunity fault probabilities for E-F1.  Zero first:
@@ -173,24 +175,17 @@ def run_fault_sweep(
     because cells merge in construction order and each cell's seed
     depends only on its (driver, payload) identity.
     """
-    from repro.exec.runner import execute_fault_sweep
-
     count = packets if packets is not None else default_packets(300)
-    results, _ = execute_fault_sweep(
-        rates=rates,
-        payload=payload,
-        packets=count,
-        seed=seed,
-        profile=profile,
-        drivers=drivers,
-        jobs=jobs,
+    cells = fault_cells(drivers, rates, payload, count, seed, profile)
+    sweep = FaultSweepResult(
+        payload=payload, packets=count, seed=seed,
+        drivers={driver: [] for driver in drivers},
     )
-    sweep = FaultSweepResult(payload=payload, packets=count, seed=seed)
-    for driver in drivers:
-        sweep.drivers[driver] = [
-            _row_from_payload(rate, payload_result, reliability)
-            for rate, payload_result, reliability in results[driver]
-        ]
+    for outcome in run_cells(cells, jobs):
+        payload_result, reliability = outcome.value
+        sweep.drivers[outcome.cell.driver].append(
+            _row_from_payload(outcome.cell.fault_rate, payload_result, reliability)
+        )
     return sweep, sweep.render()
 
 
@@ -260,9 +255,6 @@ def run_reset_recovery(
     the result cache serves it like any other cell.  The cell boots
     from the root *seed* itself, not a derived cell seed.
     """
-    from repro.exec.cells import Cell
-    from repro.exec.runner import run_cells
-
     count = packets if packets is not None else default_packets(300)
     cell = Cell(
         kind="faultlat",

@@ -17,7 +17,7 @@ BAR layout matches the paper's XDMA example design:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.mem.region import AddressSpace, MemoryRegion
 from repro.pcie.config_space import ConfigSpace
@@ -316,13 +316,3 @@ class XdmaCore(Component):
         vector = self.user_vectors[index]
         self.trace("user-irq", line=index, vector=vector)
         self.endpoint.raise_msix(vector)
-
-    # -- statistics --------------------------------------------------------------------
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        out = dict(self.endpoint.stats)
-        for engine in self.h2c + self.c2h:
-            out[f"{engine.name}_descriptors"] = engine.descriptors_executed
-            out[f"{engine.name}_bytes"] = engine.bytes_moved
-        return out

@@ -95,7 +95,6 @@ class DmaEngine(Component):
         self._bypass_busy = False
         # Statistics.
         self.descriptors_executed = 0
-        self.bytes_moved = 0
         self.last_descriptor_length = 0
         #: Optional fabric-side hook invoked when an SGDMA run finishes
         #: (the A1 ablation's "user logic monitoring the engine's status
@@ -223,7 +222,6 @@ class DmaEngine(Component):
             data = self.core.axi_read(desc.src_addr, desc.length)
             yield self.core.endpoint.dma_write(desc.dst_addr, memoryview(data))
         self.descriptors_executed += 1
-        self.bytes_moved += desc.length
         self.last_descriptor_length = desc.length
         if self.tracer.enabled:
             self.trace(

@@ -21,7 +21,6 @@ bit-identical across ``--jobs``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -29,7 +28,7 @@ from repro.core.calibration import PAPER_PAYLOAD_SIZES, PAPER_PROFILE, Calibrati
 from repro.core.latency import run_payload
 from repro.core.results import PayloadResult, SweepResult
 from repro.exec.cells import Cell, guest_cells
-from repro.exec.runner import ExecutionStats, _stats, run_cells
+from repro.exec.runner import run_cells
 from repro.guest.vmm import GUEST_MODES
 from repro.topology.builder import build_from_spec
 from repro.topology.spec import GuestSpec, TopologySpec
@@ -197,7 +196,7 @@ def run_guest_sweep(
     transport: str = "pci",
     drivers: Sequence[str] = ("virtio", "xdma"),
     jobs: int = 1,
-) -> Tuple[GuestSweepReport, ExecutionStats]:
+) -> GuestSweepReport:
     """E-V1: the ping-pong sweep under each guest mode.
 
     With ``transport="mmio"`` the XDMA driver is dropped from
@@ -211,11 +210,9 @@ def run_guest_sweep(
         drivers = tuple(d for d in drivers if d != "xdma")
         if not drivers:
             raise ValueError("the mmio transport needs the virtio driver")
-    started = time.perf_counter()
     cells = guest_cells(
         payload_sizes, packets, seed, profile, tuple(drivers), tuple(modes), transport
     )
-    outcomes = run_cells(cells, jobs)
     report = GuestSweepReport(
         seed=seed,
         packets=packets,
@@ -223,7 +220,7 @@ def run_guest_sweep(
         modes=tuple(modes),
         drivers=tuple(drivers),
     )
-    for outcome in outcomes:  # cell construction order: driver, mode, payload
+    for outcome in run_cells(cells, jobs):  # cell order: driver, mode, payload
         cell = outcome.cell
         payload_result, vmm_counters = outcome.value
         column = report.results.setdefault(cell.driver, {}).setdefault(
@@ -236,4 +233,4 @@ def run_guest_sweep(
         column.sweep.add(payload_result)
         if vmm_counters:
             column.vmm_stats[cell.payload] = vmm_counters
-    return report, _stats(outcomes, jobs, time.perf_counter() - started)
+    return report

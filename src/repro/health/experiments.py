@@ -24,24 +24,22 @@ lower-layer imports acyclic.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.calibration import PAPER_PROFILE, CalibrationProfile
+from repro.core.experiments import calibrated_points
 from repro.exec.cells import Cell, calibration_cells, overload_cells, soak_cells
-from repro.exec.runner import ExecutionStats, _stats, run_cells
+from repro.exec.runner import run_cells
 from repro.health.monitor import HealthReport
 from repro.health.soak import SoakResult
 from repro.workload.admission import OverloadConfig
 from repro.workload.metrics import RunMetrics
+from repro.workload.sweep import KNEE_UTILIZATION
 
 #: Offered-load multiples of the measured base rate for E-O1 -- from
 #: half the knee to 16x beyond it (the graceful-degradation regime).
 OVERLOAD_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-
-#: Achieved/offered ratio below which a point counts as saturated.
-KNEE_UTILIZATION = 0.9
 
 #: Goodput beyond the knee must hold this fraction of peak capacity
 #: for the degradation to count as graceful.
@@ -207,46 +205,23 @@ def run_overload_sweep(
     overload: Optional[OverloadConfig] = DEFAULT_OVERLOAD,
     fault_rate: Optional[float] = None,
     jobs: int = 1,
-) -> Tuple[Dict[str, OverloadSweepResult], ExecutionStats]:
+) -> Dict[str, OverloadSweepResult]:
     """E-O1: overload-protected load sweeps for all *drivers*.
 
-    Two fan-outs, like :func:`repro.exec.runner.execute_load_sweep`:
-    calibration cells measure each driver's base rate, then every
-    driver x rate overload cell runs at once.  ``rates`` overrides the
-    auto-placed ``multipliers``-times-base points.
+    The same calibrate-then-place fan-out as the open-loop load sweep
+    (:func:`repro.core.experiments.calibrated_points`): calibration
+    cells measure each driver's base rate, then every driver x rate
+    overload cell runs at once.  ``rates`` overrides the auto-placed
+    ``multipliers``-times-base points.
     """
-    started = time.perf_counter()
-    cal_cells = calibration_cells(drivers, payload_sizes, packets, seed, profile)
-    cal_outcomes = run_cells(cal_cells, jobs)
-    base: Dict[str, Tuple[float, float]] = {
-        outcome.cell.driver: outcome.value for outcome in cal_outcomes
-    }
+    def point_cells(driver: str, offered: List[float]) -> List[Cell]:
+        return overload_cells(driver, offered, payload_sizes, packets, seed,
+                              arrival, profile, overload, fault_rate)
 
-    point_cells: List[Cell] = []
-    offered: Dict[str, List[float]] = {}
-    for driver in drivers:
-        _, base_rate = base[driver]
-        offered[driver] = (
-            list(rates) if rates else [m * base_rate for m in multipliers]
-        )
-        if not offered[driver]:
-            raise ValueError("overload sweep needs at least one offered-load point")
-        point_cells.extend(
-            overload_cells(driver, offered[driver], payload_sizes, packets,
-                           seed, arrival, profile, overload, fault_rate)
-        )
-    point_outcomes = run_cells(point_cells, jobs)
-
-    per_driver: Dict[str, List[OverloadPoint]] = {driver: [] for driver in drivers}
-    for outcome in point_outcomes:
-        metrics, health = outcome.value
-        per_driver[outcome.cell.driver].append(
-            OverloadPoint(offered_pps=outcome.cell.rate_pps, metrics=metrics,
-                          health=health)
-        )
+    swept = calibrated_points(drivers, point_cells, multipliers, rates,
+                              payload_sizes, packets, seed, profile, jobs)
     results: Dict[str, OverloadSweepResult] = {}
-    for driver in drivers:
-        rtt_us, base_rate = base[driver]
+    for driver, ((rtt_us, base_rate), outcomes) in swept.items():
         results[driver] = OverloadSweepResult(
             driver=driver,
             seed=seed,
@@ -255,10 +230,13 @@ def run_overload_sweep(
             base_rate_pps=base_rate,
             fault_rate=fault_rate,
             overload=overload,
-            points=per_driver[driver],
+            points=[
+                OverloadPoint(offered_pps=o.cell.rate_pps, metrics=o.value[0],
+                              health=o.value[1])
+                for o in outcomes
+            ],
         )
-    all_outcomes = list(cal_outcomes) + list(point_outcomes)
-    return results, _stats(all_outcomes, jobs, time.perf_counter() - started)
+    return results
 
 
 def run_overload_soak(
@@ -270,14 +248,13 @@ def run_overload_soak(
     overload: Optional[OverloadConfig] = DEFAULT_OVERLOAD,
     fault_rate: Optional[float] = 0.02,
     jobs: int = 1,
-) -> Tuple[Dict[str, SoakResult], ExecutionStats]:
+) -> Dict[str, SoakResult]:
     """E-S1: the three-phase overload soak for all *drivers*.
 
     Calibration cells measure base rates first; each driver then runs
     its whole soak as one cell (the phases share a testbed, so they
     cannot be decomposed further).  *packets* is per phase.
     """
-    started = time.perf_counter()
     cal_cells = calibration_cells(drivers, payload_sizes, packets, seed, profile)
     cal_outcomes = run_cells(cal_cells, jobs)
     base_rates = {
@@ -286,6 +263,4 @@ def run_overload_soak(
     cells = soak_cells(drivers, base_rates, packets, seed, profile,
                        overload, fault_rate, payload_sizes)
     outcomes = run_cells(cells, jobs)
-    results = {outcome.cell.driver: outcome.value for outcome in outcomes}
-    all_outcomes = list(cal_outcomes) + list(outcomes)
-    return results, _stats(all_outcomes, jobs, time.perf_counter() - started)
+    return {outcome.cell.driver: outcome.value for outcome in outcomes}

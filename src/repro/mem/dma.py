@@ -42,14 +42,6 @@ class DmaBuffer:
             raise IndexError(f"read [{offset},{offset + length}) outside buffer of {self.size}")
         return self.memory.read(self.addr + offset, length)
 
-    def read_into(self, buf, offset: int = 0) -> None:
-        """Copy ``len(buf)`` bytes into caller-owned *buf* (no
-        intermediate ``bytes``)."""
-        length = len(buf)
-        if offset < 0 or offset + length > self.size:
-            raise IndexError(f"read [{offset},{offset + length}) outside buffer of {self.size}")
-        self.memory.read_into(self.addr + offset, buf)
-
     def view(self, offset: int = 0, length: int | None = None) -> memoryview:
         """Read-only view of the buffer contents (aliases live memory)."""
         if length is None:
@@ -103,10 +95,6 @@ class DmaAllocator:
         buf = DmaBuffer(addr=addr, size=size, memory=self.memory)
         self._allocations.append(buf)
         return buf
-
-    @property
-    def allocated_bytes(self) -> int:
-        return self._next - self.base
 
     @property
     def allocations(self) -> List[DmaBuffer]:

@@ -130,8 +130,3 @@ class AnyOf(Event):
                 self.trigger((index, child.value))
 
         return _cb
-
-
-def ensure_event(obj: Optional[Event], name: str = "") -> Event:
-    """Return *obj* if it is an event, else a fresh pending event."""
-    return obj if isinstance(obj, Event) else Event(name=name)

@@ -272,11 +272,6 @@ class Simulator:
         return event.value
 
     @property
-    def pending_events(self) -> int:
-        """Number of events currently queued."""
-        return len(self._q)
-
-    @property
     def events_executed(self) -> int:
         """Total events executed since construction (diagnostics)."""
         return self._events_executed

@@ -64,11 +64,6 @@ class Process(Event):
         self._step_cb = self._step
 
     @property
-    def alive(self) -> bool:
-        """True while the body has not finished."""
-        return not self.triggered
-
-    @property
     def result(self) -> Any:
         """The process return value (``None`` until finished)."""
         return self.value

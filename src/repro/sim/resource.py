@@ -38,10 +38,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def available(self) -> int:
-        return self.slots - self._in_use
-
     def acquire(self) -> Event:
         """Request a slot; the event fires when granted."""
         granted = Event(name=f"{self.name}.acquire")

@@ -35,7 +35,6 @@ process pool and merges in pod order, bit-identical for any
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from repro.core.calibration import PAPER_PROFILE, TEST_DST_PORT, CalibrationProfile
 from repro.exec.cells import Cell, cell_seed
-from repro.exec.runner import CellOutcome, ExecutionStats, _stats, run_cells
+from repro.exec.runner import run_cells
 from repro.health.monitor import ConservationMonitor, HealthReport
 from repro.host.netstack.rss import flow_hash
 from repro.stats.fairness import jain_index
@@ -456,14 +455,13 @@ def run_fleet_sweep(
     vfs_per_device: int = 2,
     arbiter: str = ARBITER_ROUND_ROBIN,
     jobs: int = 1,
-) -> Tuple[FleetSweepResult, ExecutionStats]:
+) -> FleetSweepResult:
     """E-M1: the tenant-fleet sweep, one cell per pod.
 
     Defaults give 4 pods x 16 tenants = 64 concurrent flows over
     4 x (1 plain + 1 two-VF) = 8 physical devices / 12 functions /
     24 queue pairs.  *packets* is per tenant.
     """
-    started = time.perf_counter()
     config = FleetConfig(
         tenants=tenants,
         queue_pairs=queue_pairs,
@@ -474,8 +472,5 @@ def run_fleet_sweep(
         payload=payload,
     )
     cells = fleet_cells(pods, packets, seed, profile, config)
-    outcomes: List[CellOutcome] = run_cells(cells, jobs)
-    reports = [outcome.value for outcome in outcomes]  # cell order == pod order
-    result = FleetSweepResult(seed=seed, packets=packets, config=config,
-                              pods=reports)
-    return result, _stats(outcomes, jobs, time.perf_counter() - started)
+    reports = [outcome.value for outcome in run_cells(cells, jobs)]  # pod order
+    return FleetSweepResult(seed=seed, packets=packets, config=config, pods=reports)

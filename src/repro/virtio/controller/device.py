@@ -44,7 +44,7 @@ from repro.virtio.controller.queue_engine import DeviceQueueEngine, QueueRole
 from repro.virtio.features import FeatureNegotiationError, FeatureSet, validate_accepted
 from repro.virtio.pci_transport import VirtioPciLayout
 from repro.sim.component import Component
-from repro.sim.time import FPGA_FABRIC_CLOCK, Frequency, SimTime
+from repro.sim.time import FPGA_FABRIC_CLOCK, SimTime
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -63,6 +63,12 @@ VIRTIO_MMIO_BAR_INDEX = 4
 #: BRAM region reserved for DMA staging (above the packet data area).
 STAGING_BASE = 0x8000
 
+#: Maximum size every virtqueue advertises (``queue_size`` reset value).
+QUEUE_MAX_SIZE = 256
+
+#: On-fabric BRAM behind AXI window 0: packet data plus DMA staging.
+BRAM_SIZE = 64 << 10
+
 
 class VirtioFpgaDevice(Component):
     """FPGA exposing a VirtIO-compliant interface over PCIe."""
@@ -74,18 +80,14 @@ class VirtioFpgaDevice(Component):
         personality: DevicePersonality,
         name: str = "virtio-fpga",
         parent: Optional[Component] = None,
-        clock: Frequency = FPGA_FABRIC_CLOCK,
-        queue_max_size: int = 256,
         fsm_cycles: int = 6,
         rx_prefetch: bool = True,
-        bram_size: int = 64 << 10,
         tracer=None,
         mmio_window: bool = False,
     ) -> None:
         super().__init__(sim, name, parent=parent, tracer=tracer)
         self.personality = personality
-        self.clock = clock
-        self.queue_max_size = queue_max_size
+        self.queue_max_size = QUEUE_MAX_SIZE
         self.fsm_cycles = fsm_cycles
         self.rx_prefetch = rx_prefetch
 
@@ -112,11 +114,11 @@ class VirtioFpgaDevice(Component):
             link,
             name="xdma",
             parent=self,  # inherits this device's tracer
-            clock=clock,
+            clock=FPGA_FABRIC_CLOCK,
             device_config=config,
             msix_vectors=personality.num_queues + 2,
         )
-        self.bram = Bram(bram_size, name=f"{name}.bram", clock=clock)
+        self.bram = Bram(BRAM_SIZE, name=f"{name}.bram", clock=FPGA_FABRIC_CLOCK)
         self.xdma.attach_axi(0, self.bram)
         self.dma_port = ControllerDmaPort(
             sim, self.xdma, self.bram, staging_base=STAGING_BASE, parent=self
@@ -153,7 +155,7 @@ class VirtioFpgaDevice(Component):
     @property
     def fsm_time(self) -> SimTime:
         """Duration of one controller FSM transition."""
-        return self.clock.cycles_to_time(self.fsm_cycles)
+        return FPGA_FABRIC_CLOCK.cycles_to_time(self.fsm_cycles)
 
     @property
     def offered_features(self) -> FeatureSet:

@@ -271,12 +271,3 @@ class VirtioNetPersonality(DevicePersonality):
             device.trace("ctrl-mq", pairs=pairs)
             return bytes([self.CTRL_ACK_OK])
         return bytes([self.CTRL_ACK_ERR])
-
-    # -- host-injection API (examples/tests) ------------------------------------------------------
-
-    def inject_frame(self, frame: bytes) -> None:
-        """Deliver an externally generated frame to the host (as if it
-        arrived from the wire side of the NIC)."""
-        device = self.device
-        assert device is not None
-        device.spawn(self._deliver(frame), name="net-inject")

@@ -71,10 +71,6 @@ class FetchedChain:
         self.out_data: bytes = b""
 
     @property
-    def out_length(self) -> int:
-        return sum(length for _, length in self.out_segments)
-
-    @property
     def in_capacity(self) -> int:
         return sum(length for _, length in self.in_segments)
 

@@ -143,10 +143,6 @@ class VirtqueueAddresses:
         return self.avail_ring + AVAIL_HEADER_SIZE + AVAIL_ENTRY_SIZE * (slot % self.size)
 
     @property
-    def used_flags_addr(self) -> int:
-        return self.used_ring
-
-    @property
     def used_idx_addr(self) -> int:
         return self.used_ring + 2
 

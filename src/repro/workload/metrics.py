@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.sim.time import SimTime, to_us
 from repro.stats.percentile import percentiles_us
-from repro.stats.summary import LatencySummary
 
 #: Percentile points the load-sweep tables report.
 LOAD_PERCENTILES = (50.0, 95.0, 99.0)
@@ -96,9 +95,6 @@ class RunMetrics:
         if total <= 0:
             return float(self.occupancy_n[-1])
         return float(np.dot(self.occupancy_n[:-1].astype(np.float64), spans) / total)
-
-    def latency_summary(self) -> LatencySummary:
-        return LatencySummary.from_ps(self.latency_ps)
 
     def latency_percentiles_us(self) -> Dict[float, float]:
         return percentiles_us(self.latency_ps, LOAD_PERCENTILES)

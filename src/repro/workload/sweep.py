@@ -10,12 +10,12 @@ queue) -- so the same relative sweep straddles the knee on both driver
 stacks even though their capacities differ.
 
 The sweep itself runs through the cell engine
-(:func:`repro.exec.runner.execute_load_sweep`, behind
-:func:`repro.core.experiments.run_load_sweep`): every load point is a
-cell on a freshly booted testbed, seeded from the root seed and the
-point's identity (driver plus point index, or outstanding count for a
-closed-loop point), so points are independent experiments and the
-whole sweep is bit-reproducible for a given seed.
+(:func:`repro.core.experiments.run_load_sweep`; its open-loop points
+are placed by :func:`repro.core.experiments.calibrated_points`): every
+load point is a cell on a freshly booted testbed, seeded from the root
+seed and the point's identity (driver plus point index, or outstanding
+count for a closed-loop point), so points are independent experiments
+and the whole sweep is bit-reproducible for a given seed.
 This module holds the result types and the sweep constants.
 """
 

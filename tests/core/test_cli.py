@@ -293,18 +293,6 @@ class TestGuestsweepCli:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_guest_mode_env_sets_default(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_GUEST_MODE", "vhost")
-        assert main(GUESTSWEEP_FAST + ["--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["modes"] == ["vhost"]
-
-    def test_invalid_guest_mode_env_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_GUEST_MODE", "weird")
-        with pytest.raises(SystemExit):
-            main(GUESTSWEEP_FAST)
-        assert "REPRO_GUEST_MODE" in capsys.readouterr().err
-
     def test_invalid_transport_rejected(self):
         with pytest.raises(SystemExit):
             main(GUESTSWEEP_FAST + ["--transport", "ccw"])
@@ -334,10 +322,19 @@ class TestArtifactRegistry:
         for name in JSON_ARTIFACTS:
             assert name in err
 
-    def test_invalid_env_rejected_before_any_work(self, monkeypatch, capsys):
-        # table1 never reads the guest mode, so only the up-front sweep
-        # of every knob can catch this value.
-        monkeypatch.setenv("REPRO_GUEST_MODE", "emulated")
+    def test_invalid_env_rejected_before_any_work(self, monkeypatch, tmp_path,
+                                                  capsys):
+        # With the cache off, table1 never reads the cache directory, so
+        # only the up-front sweep of every knob can catch this value.
+        occupied = tmp_path / "file"
+        occupied.write_text("not a directory")
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(occupied))
+
+        def no_cells(cells, jobs):
+            raise AssertionError(f"cells ran: {[c.label for c in cells]}")
+
+        monkeypatch.setattr("repro.exec.runner._run_cells_fresh", no_cells)
         with pytest.raises(SystemExit):
             main(["table1", "--packets", "10", "--payloads", "64"])
-        assert "REPRO_GUEST_MODE" in capsys.readouterr().err
+        assert "REPRO_CACHE_DIR" in capsys.readouterr().err

@@ -12,8 +12,7 @@ from repro.core.experiments import (
     figure5,
     run_comparison,
     run_load_sweep,
-    run_virtio_sweep,
-    run_xdma_sweep,
+    run_sweep,
 )
 from repro.core.latency import run_latency_sweep, run_payload
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
@@ -29,12 +28,12 @@ PACKETS = 60
 
 @pytest.fixture(scope="module")
 def virtio_sweep():
-    return run_virtio_sweep(payload_sizes=[64, 256], packets=PACKETS, seed=17)
+    return run_sweep("virtio", payload_sizes=[64, 256], packets=PACKETS, seed=17)
 
 
 @pytest.fixture(scope="module")
 def xdma_sweep():
-    return run_xdma_sweep(payload_sizes=[64, 256], packets=PACKETS, seed=17)
+    return run_sweep("xdma", payload_sizes=[64, 256], packets=PACKETS, seed=17)
 
 
 class TestSweeps:
@@ -86,14 +85,14 @@ class TestSweeps:
 
 class TestReproducibility:
     def test_same_seed_identical_series(self):
-        a = run_virtio_sweep(payload_sizes=[64], packets=20, seed=5)
-        b = run_virtio_sweep(payload_sizes=[64], packets=20, seed=5)
+        a = run_sweep("virtio", payload_sizes=[64], packets=20, seed=5)
+        b = run_sweep("virtio", payload_sizes=[64], packets=20, seed=5)
         assert np.array_equal(a[64].rtt_ps, b[64].rtt_ps)
         assert np.array_equal(a[64].hw_ps, b[64].hw_ps)
 
     def test_different_seeds_differ(self):
-        a = run_virtio_sweep(payload_sizes=[64], packets=20, seed=5)
-        b = run_virtio_sweep(payload_sizes=[64], packets=20, seed=6)
+        a = run_sweep("virtio", payload_sizes=[64], packets=20, seed=5)
+        b = run_sweep("virtio", payload_sizes=[64], packets=20, seed=6)
         assert not np.array_equal(a[64].rtt_ps, b[64].rtt_ps)
 
 
@@ -132,8 +131,8 @@ class TestLoadSweep:
 
 #: Every experiment entry point, each with a packet count of 0.
 ZERO_PACKET_RUNS = {
-    "virtio_sweep": lambda: run_virtio_sweep([64], packets=0),
-    "xdma_sweep": lambda: run_xdma_sweep([64], packets=0),
+    "virtio_sweep": lambda: run_sweep("virtio", [64], packets=0),
+    "xdma_sweep": lambda: run_sweep("xdma", [64], packets=0),
     "comparison": lambda: run_comparison([64], packets=0),
     "fault_sweep": lambda: run_fault_sweep(rates=(0.0,), packets=0),
     "reset_recovery": lambda: run_reset_recovery(packets=0),

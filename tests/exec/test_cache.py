@@ -161,8 +161,7 @@ def _cell(seed: int = 9, packets: int = 10):
 
 
 def _outcome(cell):
-    return CellOutcome(cell=cell, value={"rtt": [1, 2, 3]}, events=42,
-                       wall_s=0.25)
+    return CellOutcome(cell=cell, value={"rtt": [1, 2, 3]}, events=42)
 
 
 class TestKeying:
@@ -174,7 +173,7 @@ class TestKeying:
         hit = cache.get(cell)
         assert hit is not None and hit.cached
         assert hit.value == {"rtt": [1, 2, 3]}
-        assert hit.events == 42 and hit.wall_s == 0.25
+        assert hit.events == 42
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_seed_change_forces_miss(self, tmp_path):

@@ -1,10 +1,10 @@
 """The warm worker pool: one executor shared across fan-outs.
 
 ``run_cells`` used to build (and tear down) a ``ProcessPoolExecutor``
-per call, so ``execute_load_sweep`` -- two fan-outs per invocation --
-paid pool startup twice.  The pool is now a module-level singleton that
-later fan-outs reuse; these tests pin the reuse, the grow-on-demand
-sizing, the serial bypass, and cleanup.
+per call, so a calibrated open-loop sweep -- two fan-outs per
+invocation -- paid pool startup twice.  The pool is now a module-level
+singleton that later fan-outs reuse; these tests pin the reuse, the
+grow-on-demand sizing, the serial bypass, and cleanup.
 """
 
 import pytest

@@ -13,7 +13,8 @@ import numpy as np
 
 from repro.core.latency import run_latency_sweep
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
-from repro.exec.runner import execute_fault_sweep, execute_sweep
+from repro.exec.cells import fault_cells, latency_cells
+from repro.exec.runner import run_cells
 from repro.faults.plan import driver_fault_plan
 
 PACKETS = 40
@@ -65,34 +66,31 @@ class TestSweepMergeDeterminism:
     RATES = (0.0, 0.05)
 
     def test_jobs_parity(self):
-        """faultsweep output is byte-identical for jobs=1 and jobs=4."""
-        serial, _ = execute_fault_sweep(
-            self.RATES, payload=PAYLOAD, packets=PACKETS, seed=3, jobs=1
-        )
-        parallel, _ = execute_fault_sweep(
-            self.RATES, payload=PAYLOAD, packets=PACKETS, seed=3, jobs=4
-        )
+        """Fault-sweep cells return byte-identical outcomes in the same
+        order for jobs=1 and jobs=4."""
+        cells = fault_cells(("virtio", "xdma"), self.RATES, PAYLOAD, PACKETS, seed=3)
+        serial = run_cells(cells, jobs=1)
+        parallel = run_cells(cells, jobs=4)
         for driver in ("virtio", "xdma"):
-            assert [r for r, _, _ in serial[driver]] == list(self.RATES)
-            for (ra, pa, rep_a), (rb, pb, rep_b) in zip(
-                serial[driver], parallel[driver]
-            ):
-                assert ra == rb
-                assert np.array_equal(pa.rtt_ps, pb.rtt_ps)
-                assert rep_a == rep_b
+            assert [
+                o.cell.fault_rate for o in serial if o.cell.driver == driver
+            ] == list(self.RATES)
+        for a, b in zip(serial, parallel, strict=True):
+            assert a.cell == b.cell
+            (pa, rep_a), (pb, rep_b) = a.value, b.value
+            assert np.array_equal(pa.rtt_ps, pb.rtt_ps)
+            assert rep_a == rep_b
 
     def test_rate_zero_column_matches_fault_free_cell(self):
-        """The rate-0 row of a fault sweep is the fault-free latency
+        """The rate-0 cell of a fault sweep is the fault-free latency
         cell, bit for bit (same derived seed, no injected behaviour)."""
-        sweep, _ = execute_fault_sweep(
-            (0.0,), payload=PAYLOAD, packets=PACKETS, seed=3, jobs=1
-        )
-        for driver in ("virtio", "xdma"):
-            baseline, _ = execute_sweep(driver, (PAYLOAD,), PACKETS, seed=3, jobs=1)
-            rate, payload_result, report = sweep[driver][0]
-            assert rate == 0.0
-            assert np.array_equal(
-                payload_result.rtt_ps, baseline[PAYLOAD].rtt_ps
-            )
-            assert np.array_equal(payload_result.hw_ps, baseline[PAYLOAD].hw_ps)
+        drivers = ("virtio", "xdma")
+        faulted = run_cells(fault_cells(drivers, (0.0,), PAYLOAD, PACKETS, seed=3))
+        baseline = run_cells(latency_cells((PAYLOAD,), PACKETS, seed=3, drivers=drivers))
+        for fault, plain in zip(faulted, baseline, strict=True):
+            assert fault.cell.driver == plain.cell.driver
+            assert fault.cell.fault_rate == 0.0
+            payload_result, report = fault.value
+            assert np.array_equal(payload_result.rtt_ps, plain.value.rtt_ps)
+            assert np.array_equal(payload_result.hw_ps, plain.value.hw_ps)
             assert report["detected"] == 0 and report["injected"] == {}

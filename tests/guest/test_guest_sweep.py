@@ -86,7 +86,7 @@ class TestRunGuestSweep:
             run_guest_sweep(**FAST, modes=("paravirt",))
 
     def test_mmio_drops_xdma(self):
-        report, _ = run_guest_sweep(**FAST, modes=("bare",), transport="mmio")
+        report = run_guest_sweep(**FAST, modes=("bare",), transport="mmio")
         assert report.drivers == ("virtio",)
 
     def test_mmio_without_virtio_rejected(self):
@@ -94,14 +94,14 @@ class TestRunGuestSweep:
             run_guest_sweep(**FAST, transport="mmio", drivers=("xdma",))
 
     def test_jobs_parity(self):
-        serial, _ = run_guest_sweep(**FAST, jobs=1)
-        parallel, _ = run_guest_sweep(**FAST, jobs=2)
+        serial = run_guest_sweep(**FAST, jobs=1)
+        parallel = run_guest_sweep(**FAST, jobs=2)
         assert json.dumps(serial.as_dict()) == json.dumps(parallel.as_dict())
 
     def test_bare_column_matches_plain_latency_cells(self):
         # Acceptance: mode=bare rows are byte-identical to the pre-PR
         # artifacts (same cells, same machines, same numbers).
-        report, _ = run_guest_sweep(**FAST, modes=("bare",))
+        report = run_guest_sweep(**FAST, modes=("bare",))
         plain = {
             (o.cell.driver, o.cell.payload): o.value
             for o in run_cells(latency_cells((64,), packets=10, seed=7), jobs=1)
@@ -113,7 +113,7 @@ class TestRunGuestSweep:
             assert (guest_result.hw_ps == plain_result.hw_ps).all()
 
     def test_trap_column(self):
-        report, _ = run_guest_sweep(**FAST, modes=("bare", "trapped"))
+        report = run_guest_sweep(**FAST, modes=("bare", "trapped"))
         bare = report.column("virtio", "bare")
         trapped = report.column("virtio", "trapped")
         assert bare.sweep[64].trap_ps is None
@@ -124,7 +124,7 @@ class TestRunGuestSweep:
         assert bare.vmm_stats == {}
 
     def test_as_dict_shape(self):
-        report, _ = run_guest_sweep(**FAST, modes=("vhost",), drivers=("virtio",))
+        report = run_guest_sweep(**FAST, modes=("vhost",), drivers=("virtio",))
         doc = report.as_dict()
         assert doc["experiment"] == "E-V1"
         row = doc["results"]["virtio"]["vhost"]["64"]
@@ -132,7 +132,7 @@ class TestRunGuestSweep:
         assert row["vmm"]["vhost_doorbells"] >= 10
 
     def test_render_has_one_block_per_column(self):
-        report, _ = run_guest_sweep(**FAST, modes=("bare", "vhost"))
+        report = run_guest_sweep(**FAST, modes=("bare", "vhost"))
         text = report.render()
         for block in ("virtio / bare", "virtio / vhost",
                       "xdma / bare", "xdma / vhost"):

@@ -53,8 +53,8 @@ class TestSweepJobsParity:
     def test_sweep_byte_identical_across_jobs(self):
         """E-O1 output is byte-identical for jobs=1 and jobs=4."""
         kwargs = dict(packets=PACKETS, seed=3, multipliers=(0.5, 4.0))
-        serial, _ = run_overload_sweep(jobs=1, **kwargs)
-        parallel, _ = run_overload_sweep(jobs=4, **kwargs)
+        serial = run_overload_sweep(jobs=1, **kwargs)
+        parallel = run_overload_sweep(jobs=4, **kwargs)
         assert set(serial) == set(parallel) == {"virtio", "xdma"}
         for driver in serial:
             a = json.dumps(serial[driver].as_dict(), sort_keys=True)
@@ -64,8 +64,8 @@ class TestSweepJobsParity:
     def test_soak_byte_identical_across_jobs(self):
         """E-S1 output is byte-identical for jobs=1 and jobs=2."""
         kwargs = dict(packets=50, seed=3, fault_rate=0.02)
-        serial, _ = run_overload_soak(jobs=1, **kwargs)
-        parallel, _ = run_overload_soak(jobs=2, **kwargs)
+        serial = run_overload_soak(jobs=1, **kwargs)
+        parallel = run_overload_soak(jobs=2, **kwargs)
         for driver in ("virtio", "xdma"):
             a = json.dumps(serial[driver].as_dict(), sort_keys=True)
             b = json.dumps(parallel[driver].as_dict(), sort_keys=True)

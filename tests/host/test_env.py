@@ -37,30 +37,13 @@ class TestFlags:
             with pytest.raises(env.EnvError, match="REPRO_CACHE"):
                 env.result_cache()
 
-
-class TestGuestMode:
-    def test_unset_means_all_modes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GUEST_MODE", raising=False)
-        assert env.guest_mode() is None
-
-    @pytest.mark.parametrize("mode", ["bare", "trapped", "vhost"])
-    def test_valid_modes(self, monkeypatch, mode):
-        monkeypatch.setenv("REPRO_GUEST_MODE", mode)
-        assert env.guest_mode() == mode
-
-    def test_unknown_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GUEST_MODE", "emulated")
-        with pytest.raises(env.EnvError, match="'emulated'"):
-            env.guest_mode()
-
     def test_rejection_lists_choices_then_value(self, monkeypatch):
         # The message names the variable, the accepted set, then the value.
-        monkeypatch.setenv("REPRO_GUEST_MODE", "trap")
+        monkeypatch.setenv("REPRO_CACHE", "yes")
         with pytest.raises(
-            env.EnvError,
-            match="REPRO_GUEST_MODE must be 'bare', 'trapped', or 'vhost', got 'trap'",
+            env.EnvError, match="REPRO_CACHE must be '1' or '0', got 'yes'"
         ):
-            env.guest_mode()
+            env.result_cache()
 
 
 class TestCacheKnobs:
@@ -110,8 +93,8 @@ class TestCacheKnobs:
 class TestCheckEnvironment:
     def test_knob_set(self):
         assert sorted(env.KNOWN_KNOBS) == [
-            "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_GUEST_MODE",
-            "REPRO_PACKETS", "REPRO_SNAPSHOT_BOOT",
+            "REPRO_CACHE", "REPRO_CACHE_DIR", "REPRO_PACKETS",
+            "REPRO_SNAPSHOT_BOOT",
         ]
 
     def test_clean_environment_passes(self, monkeypatch):

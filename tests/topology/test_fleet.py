@@ -82,15 +82,15 @@ class TestFleetCells:
 class TestSweep:
     def test_jobs_parity(self):
         kwargs = dict(pods=2, tenants=4, packets=8, seed=5, queue_pairs=2)
-        serial, _ = run_fleet_sweep(jobs=1, **kwargs)
-        threaded, _ = run_fleet_sweep(jobs=2, **kwargs)
+        serial = run_fleet_sweep(jobs=1, **kwargs)
+        threaded = run_fleet_sweep(jobs=2, **kwargs)
         assert serial.as_dict() == threaded.as_dict()
 
     def test_sweep_verdict_and_flow_count(self):
-        result, stats = run_fleet_sweep(pods=2, tenants=4, packets=8, seed=5)
+        result = run_fleet_sweep(pods=2, tenants=4, packets=8, seed=5)
         assert result.flows == 8
         assert result.verdict == "PASS"
         assert result.all_conserved
         assert 0.0 < result.fairness <= 1.0
         assert result.aggregate_goodput_pps > 0
-        assert stats.cells == 2
+        assert len(result.pods) == 2

@@ -36,6 +36,10 @@ COMMANDS = {
                             "--rate", "20000", "60000", "--seed", "7"],
     "loadsweep_closed.json": ["loadsweep", "--json", "--packets", "40",
                               "--outstanding", "1", "2", "--seed", "7"],
+    # The auto-placed open-loop sweep: calibration cells measure each
+    # driver's base rate, and the points sit at multiples of it.
+    "loadsweep_auto.json": ["loadsweep", "--json", "--packets", "40",
+                            "--seed", "7"],
     "faultsweep.json": ["faultsweep", "--json", "--packets", "40",
                         "--fault-rates", "0", "0.01", "--seed", "7"],
     # E-F2, the reset storm.  Captured while it still booted its own
@@ -56,6 +60,10 @@ COMMANDS = {
     # bare column's numbers double as the legacy-latency-cell pin).
     "guestsweep.json": ["guestsweep", "--json", "--packets", "20",
                         "--payloads", "64", "--seed", "7"],
+    # The virtio-mmio transport (virtio driver only, all three modes).
+    "guestsweep_mmio.json": ["guestsweep", "--json", "--transport", "mmio",
+                             "--packets", "20", "--payloads", "64", "--seed",
+                             "7"],
 }
 
 
