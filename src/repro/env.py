@@ -28,7 +28,10 @@ Knobs
 ``REPRO_SNAPSHOT_BOOT``
     ``1`` (default) or ``0``: reuse pristine boot snapshots via
     fork/copy-on-write stamping when a cell's (spec, seed, profile)
-    repeats in a process.  ``0`` boots every cell cold.
+    repeats in a process and its first, cold run spent more simulator
+    events on the boot than on the measurement (a 1-packet cell does, a
+    50-packet one does not; see :mod:`repro.exec.snapshot`).  ``0``
+    boots every cell cold.
 
 Flags accept ``1`` (on) and ``0`` / unset / empty (off); anything else
 is an error rather than a guess.

@@ -13,7 +13,8 @@ completion order.
 Two caching layers make re-runs near-free: the content-addressed
 result cache (:mod:`repro.exec.cache`) returns unchanged cells from
 disk, and snapshot boot reuse (:mod:`repro.exec.snapshot`) stamps
-repeated same-boot cells off one pristine fork/copy-on-write image.
+repeated same-boot cells whose boot outweighs their measurement off
+one pristine fork/copy-on-write image.
 
 See ``docs/architecture.md`` ("Parallel execution" and "Result cache &
 snapshot boot reuse") for the design notes and the seed-derivation

@@ -206,7 +206,7 @@ class ResultCache:
             return None
         self.stats.hits += 1
         self.stats.hit_bytes += len(data)
-        return CellOutcome(cell=cell, value=value, events=events, cached=True)
+        return CellOutcome(cell=cell, value=value, events=events)
 
     def put(self, cell: Any, outcome: Any) -> None:
         """Store *outcome* atomically (temp file + ``os.replace``)."""

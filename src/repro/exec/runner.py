@@ -26,8 +26,9 @@ byte-identity guarantee):
   ``execute_cell`` splits every kind into a pure *boot* (testbed
   construction from (spec, seed, profile)) and a *measure* closure
   (fault-plan attachment, overload bounds, the workload), and the
-  snapshot layer stamps repeated same-boot cells off one pristine
-  copy-on-write image instead of re-booting.
+  snapshot layer stamps repeated same-boot cells whose boot outweighs
+  their measurement off one pristine copy-on-write image instead of
+  re-booting.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class CellOutcome:
     cell: Cell
     value: Any  # PayloadResult | RunMetrics | (rtt_us, rate_pps)
     events: int  # simulator events the cell executed (perf accounting)
-    cached: bool = False  # served from the result cache, not executed
     boot_reused: bool = False  # measured off a pristine boot snapshot
 
 

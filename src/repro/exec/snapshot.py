@@ -6,8 +6,9 @@ deterministic function of ``(spec, seed, profile)``, and several cell
 families deliberately share that triple: every fault rate of a
 (driver, payload) column, every repeat of one workload in a process
 (the benchmark's timed passes), a warm worker seeing the same spec
-across fan-outs.  Re-running the boot for each of them is
-pure waste; this module boots once and reuses the post-probe state.
+across fan-outs.  Where the boot outweighs the measurement, re-running
+it for each of them is waste; this module boots once and reuses the
+post-probe state (see Policy for which keys qualify).
 
 Why fork, not deepcopy
 ----------------------
@@ -29,17 +30,33 @@ test).
 Policy
 ------
 
-Keeping a pristine image costs memory and a fork per stamp, and most
-cell keys occur exactly once (latency cells all have distinct seeds).
-The registry therefore keeps nothing until a key repeats: the first
-use runs cold, the second boots and *keeps* the pristine image
-(stamping the measurement off it), and every later use stamps straight
-from the image -- a *boot reuse*.  Images are capped by an LRU, and
-an evicted or reset image is garbage-collected at once; any transport
-failure (no ``fork``, unpicklable result) falls back to the
-cold path, never to an error.  The registry is per-process: each warm
-pool worker accumulates its own images, which survive across fan-outs
-exactly like the worker's module caches.
+Keeping a pristine image costs memory, and a stamp adds a fork, a pipe
+and a pickle to the measurement it wraps (9-18 ms on a 2-vCPU x86 VM,
+fork + exit alone ~4 ms, against a ~15 ms VirtIO or ~3 ms XDMA boot),
+so it pays only on a cell whose boot is a large share of its work.
+Simulator events are the exact measure of that share.  Most cell keys
+occur exactly once (latency cells all have distinct seeds), so the
+registry keeps nothing until a key repeats: the first use runs cold
+and records how many events the boot ran and how many the measurement
+then added.  A repeated key whose boot ran more events than its
+measurement boots once more and *keeps* the pristine image (stamping
+the measurement off it), and every later use stamps straight from the
+image -- a *boot reuse*.  Any other repeated key boots cold on every
+use and holds no image.  A 50-packet fault cell measures 8 400-11 300
+events after a 1667-event VirtIO boot (5 300-8 300 after a 237-event
+XDMA boot); stamping those cells lost to cold boots in all ten
+same-seed pairs of the benchmark's ``fault_sweep_cached`` workload
+(median 2679 packets/s stamped, 3288 cold).  A 1-packet cell (156-218
+events after the VirtIO boot, 106-163 after the XDMA one) still
+stamps.  The counts are exact, so which keys stamp, and every reuse
+count, repeat run to run.
+
+Images are capped by an LRU, and an evicted or reset image is
+garbage-collected at once; any transport failure (no ``fork``,
+unpicklable result) falls back to the cold path, never to an error.
+The registry is per-process: each warm pool worker accumulates its own
+images, which survive across fan-outs exactly like the worker's module
+caches.
 
 ``REPRO_SNAPSHOT_BOOT=0`` disables the whole layer (every cell boots
 cold, the pre-snapshot behavior).
@@ -66,11 +83,12 @@ MAX_SNAPSHOTS = 8
 
 _SUPPORTED = hasattr(os, "fork")
 
-# Per-process state: pristine images by key (LRU order), how often each
-# key has been requested, keys whose stamping transport failed (never
-# retried), and how many boots this process has reused.
+# Per-process state: pristine images by key (LRU order), the simulator
+# events each seen key's first (cold) use spent on boot and on the
+# measurement, keys whose stamping transport failed (never retried),
+# and how many boots this process has reused.
 _PRISTINE: "OrderedDict[str, Any]" = OrderedDict()
-_SEEN: Dict[str, int] = {}
+_COST: Dict[str, Tuple[int, int]] = {}
 _BROKEN: set = set()
 _LOCAL_REUSES = 0
 
@@ -91,7 +109,7 @@ def reset() -> None:
     tests)."""
     global _LOCAL_REUSES, _PARENT_REUSES
     _PRISTINE.clear()
-    _SEEN.clear()
+    _COST.clear()
     _BROKEN.clear()
     _LOCAL_REUSES = 0
     _PARENT_REUSES = 0
@@ -137,7 +155,8 @@ def execute(
     pure testbed construction (everything *key* identifies) and
     ``measure`` everything after it -- fault-plan attachment, overload
     bounds, the workload itself -- so the pristine image is never
-    mutated by cell-specific state.
+    mutated by cell-specific state.  The testbed's ``sim`` counts the
+    events each of them runs, which decides whether the key stamps.
     """
     global _LOCAL_REUSES
     if key is None or key in _BROKEN or not enabled():
@@ -153,11 +172,18 @@ def execute(
             return measure(boot()), False
         _LOCAL_REUSES += 1
         return result, True
-    count = _SEEN.get(key, 0) + 1
-    _SEEN[key] = count
-    if count == 1:
+    cost = _COST.get(key)
+    if cost is None:
         # Most keys occur once; don't pay fork/pickle or image memory
         # until the key proves it repeats.
+        testbed = boot()
+        booted = testbed.sim.events_executed
+        result = measure(testbed)
+        _COST[key] = (booted, testbed.sim.events_executed - booted)
+        return result, False
+    boot_events, measure_events = cost
+    if boot_events <= measure_events:
+        # The stamp would cost more than the boot it saves (see Policy).
         return measure(boot()), False
     testbed = boot()
     try:

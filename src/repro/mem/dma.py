@@ -99,8 +99,3 @@ class DmaAllocator:
     @property
     def allocations(self) -> List[DmaBuffer]:
         return list(self._allocations)
-
-    def reset(self) -> None:
-        """Drop all allocations (testbed teardown)."""
-        self._next = self.base
-        self._allocations.clear()

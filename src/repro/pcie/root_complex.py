@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.mem.physical import PhysicalMemory
 from repro.pcie.link import LinkConfig, PcieLink
-from repro.pcie.msi import is_msi_address
 from repro.pcie.tlp import (
     CompletionStatus,
     Tlp,

@@ -28,7 +28,7 @@ Hardware performance counters (Section IV-B):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import Any, Generator
 
 from repro.fpga.user_logic import UserLogic
 from repro.host.netstack.rss import steer
@@ -54,9 +54,6 @@ from repro.virtio.net_header import (
     prepend_header,
     strip_header,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.virtio.controller.device import VirtioFpgaDevice
 
 RECEIVEQ = 0
 TRANSMITQ = 1

@@ -26,15 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.mem.dma import DmaBuffer
-from repro.mem.layout import (
-    align_up,
-    read_u16,
-    read_u32,
-    read_u64,
-    write_u16,
-    write_u32,
-    write_u64,
-)
+from repro.mem.layout import align_up, write_u16, write_u32, write_u64
 
 # Descriptor flags.
 VIRTQ_DESC_F_NEXT = 1

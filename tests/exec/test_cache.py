@@ -171,7 +171,7 @@ class TestKeying:
         assert cache.get(cell) is None
         cache.put(cell, _outcome(cell))
         hit = cache.get(cell)
-        assert hit is not None and hit.cached
+        assert hit is not None
         assert hit.value == {"rtt": [1, 2, 3]}
         assert hit.events == 42
         assert cache.stats.hits == 1 and cache.stats.misses == 1

@@ -3,14 +3,16 @@
 The fork/copy-on-write transport is only admissible because a stamped
 measurement is *byte-identical* to a cold one -- the hypothesis test
 below pins that across drivers, payloads, and seeds (pickle equality
-covers every array element and every summary float).  The policy tests
-use fake boot/measure callables so they exercise the registry logic
-without paying testbed boots.
+covers every array element and every summary float), on 1-packet cells,
+whose boot outweighs their measurement, so they really stamp.  The
+policy tests use fake boot/measure callables so they exercise the
+registry logic without paying testbed boots.
 """
 
 from __future__ import annotations
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +45,7 @@ class TestStampParity:
     )
     def test_stamped_equals_cold(self, driver, payload, seed):
         cell = latency_cells(
-            (payload,), packets=6, seed=seed, drivers=(driver,)
+            (payload,), packets=1, seed=seed, drivers=(driver,)
         )[0]
         key, boot, measure = _cell_plan(cell)
         cold = measure(boot())
@@ -52,7 +54,7 @@ class TestStampParity:
         first, reused1 = snapshot.execute(key, boot, measure)
         second, reused2 = snapshot.execute(key, boot, measure)
         third, reused3 = snapshot.execute(key, boot, measure)
-        # Seen-once-then-keep: cold, boot+keep (stamped), pure reuse.
+        # A boot-heavy key: cold, boot+keep (stamped), pure reuse.
         assert (reused1, reused2, reused3) == (False, False, True)
         assert snapshot.snapshots_held() == 1
         assert snapshot.local_reuses() == 1
@@ -61,6 +63,16 @@ class TestStampParity:
         assert pickle.dumps(first) == baseline
         assert pickle.dumps(second) == baseline
         assert pickle.dumps(third) == baseline
+
+    def test_measurement_heavy_cell_boots_cold(self):
+        # XDMA 1024 B at 4 packets measures 649 events after a 237-event
+        # boot: every use boots cold, and nothing is kept.
+        cell = latency_cells((1024,), packets=4, seed=5, drivers=("xdma",))[0]
+        key, boot, measure = _cell_plan(cell)
+        runs = [snapshot.execute(key, boot, measure) for _ in range(3)]
+        assert [reused for _, reused in runs] == [False, False, False]
+        assert snapshot.snapshots_held() == 0
+        assert len({pickle.dumps(result) for result, _ in runs}) == 1
 
     def test_cross_kind_sharing(self):
         # A faultlat cell aliases the latency seed identity and boots
@@ -73,18 +85,23 @@ class TestStampParity:
 
 
 class _FakeBoot:
-    """Counts boots; hands out picklable 'testbeds'."""
+    """Counts boots; hands out 'testbeds' whose boot ran *events*
+    simulator events (by default more than ``_measure`` adds)."""
 
-    def __init__(self):
+    def __init__(self, events=10):
         self.count = 0
+        self.events = events
 
     def __call__(self):
         self.count += 1
-        return {"image": self.count}
+        return SimpleNamespace(
+            image=self.count, sim=SimpleNamespace(events_executed=self.events)
+        )
 
 
 def _measure(testbed):
-    return ("measured", testbed["image"])
+    testbed.sim.events_executed += 1
+    return ("measured", testbed.image)
 
 
 @requires_fork
@@ -100,6 +117,17 @@ class TestPolicy:
         r3, reused3 = snapshot.execute("k", boot, _measure)
         assert (r3, reused3) == (("measured", 2), True)  # stamped, no boot
         assert boot.count == 2
+
+    def test_measurement_heavy_key_never_stamps(self):
+        # The boot ran no more events than the measurement (one each):
+        # a stamp would cost more than the boot it saves.
+        boot = _FakeBoot(events=1)
+        for i in (1, 2, 3):
+            result, reused = snapshot.execute("k", boot, _measure)
+            assert (result, reused) == (("measured", i), False)
+        assert boot.count == 3
+        assert snapshot.snapshots_held() == 0
+        assert snapshot.local_reuses() == 0
 
     def test_lru_cap(self):
         keys = [f"k{i}" for i in range(snapshot.MAX_SNAPSHOTS + 3)]

@@ -77,12 +77,6 @@ class TestDmaAllocator:
         with pytest.raises(DmaAllocationError):
             alloc.alloc(1)
 
-    def test_reset(self):
-        alloc = DmaAllocator(PhysicalMemory(), size=4096)
-        alloc.alloc(4096)
-        alloc.reset()
-        alloc.alloc(4096)  # works again
-
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             DmaAllocator(PhysicalMemory()).alloc(0)
