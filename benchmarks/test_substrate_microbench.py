@@ -239,6 +239,56 @@ def test_xdma_copies_per_packet_budget(benchmark):
     assert counts["read"] <= XDMA_COPIES_PER_PACKET_BUDGET
 
 
+# -- event budget ------------------------------------------------------------------
+
+#: Simulator events per steady-state echo round trip (64 B, seed 0):
+#: exactly today's counts, because they are deterministic.  Each link
+#: direction computes a TLP's departure when the TLP is enqueued, so a
+#: TLP costs one event (its arrival) and the completion splits of one
+#: read are posted by one event.  Simulating the transmitter (an event
+#: at departure, another at arrival, one more per completion split)
+#: cost 4062 events over 24 packets (virtio) and 105 per packet (xdma).
+#: A rise means events crept back into a hot path; a drop means the
+#: budget should come down with it.
+VIRTIO_EVENTS_PER_PACKET = 3292 / 24
+XDMA_EVENTS_PER_PACKET = 78.0
+
+
+def measure_events_per_packet(
+    driver: str, payload: int = 64, packets: int = 24, warmup: int = 4
+) -> float:
+    """Simulator events per steady-state echo round trip.
+
+    Two runs (*warmup* packets and *warmup + packets* packets) are
+    differenced, as in :func:`measure_copies_per_packet`, so boot, ring
+    setup and first-packet ARP traffic drop out.
+    """
+    build = {"virtio": build_virtio_testbed, "xdma": build_xdma_testbed}[driver]
+
+    def counted(total_packets: int) -> int:
+        testbed = build(seed=0)
+        run_payload(testbed, payload, total_packets)
+        return testbed.sim.events_executed
+
+    return (counted(warmup + packets) - counted(warmup)) / packets
+
+
+@pytest.mark.benchmark(group="events")
+def test_virtio_events_per_packet(benchmark):
+    events = benchmark.pedantic(
+        measure_events_per_packet, args=("virtio",), rounds=1, iterations=1
+    )
+    assert events == VIRTIO_EVENTS_PER_PACKET
+
+
+@pytest.mark.benchmark(group="events")
+def test_xdma_events_per_packet(benchmark):
+    events = benchmark.pedantic(
+        measure_events_per_packet, args=("xdma",), rounds=1, iterations=1
+    )
+    assert events == XDMA_EVENTS_PER_PACKET
+
+
 # -- the warm pool -------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ debugging the models and for teaching what the latency is made of::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import List
 
 from repro.core.calibration import FPGA_IP, PAPER_PROFILE, TEST_DST_PORT, CalibrationProfile
@@ -56,6 +57,13 @@ class Timeline:
     payload: int
     total_us: float
     records: List[TraceRecord] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        # A link emits a queued TLP's ``tlp-tx`` when the TLP is enqueued,
+        # stamped with its later transmission start; a stable sort puts
+        # the records in time order and keeps same-time records in
+        # emission order.
+        self.records = sorted(self.records, key=attrgetter("time"))
 
     def events(self) -> List[TraceRecord]:
         """Records with a narration entry (non-None)."""

@@ -42,12 +42,12 @@ then added.  A repeated key whose boot ran more events than its
 measurement boots once more and *keeps* the pristine image (stamping
 the measurement off it), and every later use stamps straight from the
 image -- a *boot reuse*.  Any other repeated key boots cold on every
-use and holds no image.  A 50-packet fault cell measures 8 400-11 300
-events after a 1667-event VirtIO boot (5 300-8 300 after a 237-event
-XDMA boot); stamping those cells lost to cold boots in all ten
-same-seed pairs of the benchmark's ``fault_sweep_cached`` workload
-(median 2679 packets/s stamped, 3288 cold).  A 1-packet cell (156-218
-events after the VirtIO boot, 106-163 after the XDMA one) still
+use and holds no image.  A 50-packet fault cell measures 6 755-8 004
+events after a 1221-event VirtIO boot (3 911-5 324 after a 147-event
+XDMA boot; seeds 0-9); stamping those cells lost to cold boots in all
+ten same-seed pairs of the benchmark's ``fault_sweep_cached`` workload
+(median 2679 packets/s stamped, 3288 cold).  A 1-packet cell (122-160
+events after the VirtIO boot, 79-123 after the XDMA one) still
 stamps.  The counts are exact, so which keys stamp, and every reuse
 count, repeat run to run.
 

@@ -198,15 +198,10 @@ class PcieEndpoint(Component):
             return
         if self.tracer.enabled:
             self.trace("mem-read", addr=tlp.addr, length=tlp.length)
-        post = self._post_up
-        if post is None:
-            post = self._post_up = self.link.upstream.post
-        self.sim.schedule_many(
+        self.sim.schedule(
             self.completer_latency,
-            post,
-            [(cpl,) for cpl in split_completion(
-                tlp, data, rcb=self.link.config.read_completion_boundary
-            )],
+            self.link.upstream.post_many,
+            list(split_completion(tlp, data, rcb=self.link.config.read_completion_boundary)),
         )
 
     def _handle_mem_write(self, tlp: Tlp) -> None:
@@ -306,7 +301,6 @@ class PcieEndpoint(Component):
         tlp = memory_write(
             message.address, message.data.to_bytes(4, "little"), requester=self.path
         )
-        tlp.detail["msix_vector"] = vector
         self.link.post_upstream(tlp)
 
     # -- statistics ------------------------------------------------------------------

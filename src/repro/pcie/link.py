@@ -16,9 +16,7 @@ Each direction is an independent :class:`LinkDirection` (full duplex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Optional
-
-from collections import deque
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.pcie.tlp import Tlp
 from repro.sim.component import Component
@@ -114,7 +112,11 @@ class LinkDirection(Component):
 
     TLPs are serialized one at a time in FIFO order; each is delivered to
     the receiver's callback ``propagation_time`` after its last byte is
-    clocked out.
+    clocked out.  A FIFO single server's departures are exactly
+    max(enqueue, previous departure) + serialization time, so each
+    departure is computed when the TLP is enqueued, and a TLP costs one
+    simulator event: its arrival, or its hand-off to a switch uplink at
+    departure.
     """
 
     def __init__(
@@ -128,8 +130,8 @@ class LinkDirection(Component):
         super().__init__(sim, name, parent=parent)
         self.config = config
         self.deliver = deliver
-        self._queue: Deque[tuple[Tlp, Optional[Event]]] = deque()
-        self._busy = False
+        #: When the transmitter finishes clocking out the last queued TLP.
+        self._free_at: SimTime = 0
         self._tlps_sent = 0
         self._bytes_sent = 0
         # Hot-path caches: the config is frozen, so serialization times
@@ -139,95 +141,68 @@ class LinkDirection(Component):
         self._ser_cache: dict[int, SimTime] = {}
         self._prop_time = config.propagation_time
         self._delivered_name = f"{self.path}.delivered"
-        # Pre-bound event callbacks: a fresh bound method per scheduled
-        # hop would otherwise be allocated twice per TLP.
-        self._tx_done_cb = self._tx_done
+        # Pre-bound event callback: a fresh bound method per TLP would
+        # otherwise be allocated.
         self._arrive_cb = self._arrive
         #: Shared-uplink arbiter (a PcieSwitch) when this direction sits
         #: behind a switch; None leaves behaviour exactly as before.
         self.uplink = None
         self.uplink_port = -1
 
-    def send(self, tlp: Tlp) -> Event:
-        """Enqueue a TLP for transmission.  Returns the delivery event
-        (fires when the TLP reaches the receiver); posted-write callers
-        that do not care may ignore it."""
-        delivered = Event(name=self._delivered_name)
-        self._queue.append((tlp, delivered))
-        if not self._busy:
-            self._busy = True
-            self._transmit_next()
-        return delivered
-
     def post(self, tlp: Tlp) -> None:
-        """Fire-and-forget enqueue: identical transmission timing to
-        :meth:`send`, but no delivery event is allocated.  For TLPs
-        whose delivery nothing ever waits on (completions, MSI writes,
-        posted MMIO, read requests tracked by tag)."""
-        self._queue.append((tlp, None))
-        if not self._busy:
-            self._busy = True
-            self._transmit_next()
+        """Fire-and-forget transmit: no delivery event is allocated.  For
+        TLPs whose delivery nothing ever waits on (completions, MSI
+        writes, posted MMIO, read requests tracked by tag)."""
+        self._transmit_next(tlp, None)
 
-    def send_many(self, tlps) -> Event:
-        """Write-combined enqueue of a TLP burst.
+    def post_many(self, tlps: Iterable[Tlp]) -> None:
+        """:meth:`post` each of *tlps* in order (the completion splits of
+        one read, issued by one scheduled call)."""
+        for tlp in tlps:
+            self._transmit_next(tlp, None)
 
-        Per-TLP timing is identical to looping :meth:`send`; the saving
-        is bookkeeping: only the burst's last TLP carries a delivery
-        event (the returned one, firing when the final TLP reaches the
-        receiver -- the only event multi-TLP transfers ever waited on).
+    def send_many(self, tlps: Sequence[Tlp]) -> Event:
+        """Write-combined transmit of a TLP burst.
+
+        Per-TLP timing is identical to :meth:`post`; only the burst's
+        last TLP carries a delivery event (the returned one, firing when
+        the final TLP reaches the receiver -- the only event multi-TLP
+        transfers ever waited on).
         """
         if not tlps:
             raise ValueError("send_many needs at least one TLP")
         delivered = Event(name=self._delivered_name)
-        queue = self._queue
-        last = len(tlps) - 1
-        for i, tlp in enumerate(tlps):
-            queue.append((tlp, delivered if i == last else None))
-        if not self._busy:
-            self._busy = True
-            self._transmit_next()
+        for tlp in tlps[:-1]:
+            self._transmit_next(tlp, None)
+        self._transmit_next(tlps[-1], delivered)
         return delivered
 
-    def _ser_time(self, wire_bytes: int) -> SimTime:
-        time = self._ser_cache.get(wire_bytes)
-        if time is None:
-            time = self.config.serialization_time(wire_bytes)
-            self._ser_cache[wire_bytes] = time
-        return time
-
-    def _transmit_next(self) -> None:
-        tlp, delivered = self._queue.popleft()
-        # Inline the serialization-time cache: this runs once per TLP.
+    def _transmit_next(self, tlp: Tlp, delivered: Optional[Event]) -> None:
+        # Runs once per TLP on the wire.
         wire = tlp.wire_bytes
         tx_time = self._ser_cache.get(wire)
         if tx_time is None:
-            tx_time = self.config.serialization_time(wire)
-            self._ser_cache[wire] = tx_time
+            tx_time = self._ser_cache[wire] = self.config.serialization_time(wire)
+        sim = self.sim
+        start = self._free_at
+        if start < sim._now:
+            start = sim._now
         if self.tracer.enabled:
-            self.trace("tlp-tx", tlp=tlp.kind.value, addr=tlp.addr, bytes=wire)
+            # Stamped with the transmission start, which is later than
+            # now when the TLP queues behind others.
+            self.tracer.emit(start, self.path, "tlp-tx",
+                             tlp=tlp.kind.value, addr=tlp.addr, bytes=wire)
         self._tlps_sent += 1
         self._bytes_sent += wire
-        # Inlined ``sim.schedule(tx_time, self._tx_done, tlp, delivered)``
-        # -- one of these runs per TLP on the wire.
-        sim = self.sim
+        self._free_at = departure = start + tx_time
+        # Inlined ``sim.schedule_at``: arrival after propagation -- unless
+        # a switch uplink sits in between (store-and-forward: the TLP
+        # still contends for the shared upstream link from departure).
         sim._seq = seq = sim._seq + 1
-        sim._push((sim._now + tx_time, seq, self._tx_done_cb, (tlp, delivered)))
-
-    def _tx_done(self, tlp: Tlp, delivered: Optional[Event]) -> None:
-        # Last byte left the transmitter; arrival after propagation --
-        # unless a switch uplink sits in between (store-and-forward:
-        # the TLP still contends for the shared upstream link).
-        if self.uplink is not None:
-            self.uplink.forward(self, tlp, delivered)
+        if self.uplink is None:
+            sim._push((departure + self._prop_time, seq, self._arrive_cb, (tlp, delivered)))
         else:
-            sim = self.sim
-            sim._seq = seq = sim._seq + 1
-            sim._push((sim._now + self._prop_time, seq, self._arrive_cb, (tlp, delivered)))
-        if self._queue:
-            self._transmit_next()
-        else:
-            self._busy = False
+            sim._push((departure, seq, self.uplink.forward, (self, tlp, delivered)))
 
     def _arrive(self, tlp: Tlp, delivered: Optional[Event]) -> None:
         if self.tracer.enabled:
@@ -243,10 +218,6 @@ class LinkDirection(Component):
     @property
     def bytes_sent(self) -> int:
         return self._bytes_sent
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue) + (1 if self._busy else 0)
 
 
 class PcieLink(Component):
@@ -277,26 +248,14 @@ class PcieLink(Component):
         """Set the root complex's receive callback (upstream direction)."""
         self._upstream = LinkDirection(self.sim, self.config, deliver, "up", parent=self)
 
-    def send_downstream(self, tlp: Tlp) -> Event:
-        """Root complex -> endpoint; returns the delivery event."""
-        if self._downstream is None:
-            raise RuntimeError(f"link {self.name!r}: endpoint rx not attached")
-        return self._downstream.send(tlp)
-
-    def send_upstream(self, tlp: Tlp) -> Event:
-        """Endpoint -> root complex; returns the delivery event."""
-        if self._upstream is None:
-            raise RuntimeError(f"link {self.name!r}: root rx not attached")
-        return self._upstream.send(tlp)
-
     def post_downstream(self, tlp: Tlp) -> None:
-        """Fire-and-forget :meth:`send_downstream` (no delivery event)."""
+        """Root complex -> endpoint (no delivery event)."""
         if self._downstream is None:
             raise RuntimeError(f"link {self.name!r}: endpoint rx not attached")
         self._downstream.post(tlp)
 
     def post_upstream(self, tlp: Tlp) -> None:
-        """Fire-and-forget :meth:`send_upstream` (no delivery event)."""
+        """Endpoint -> root complex (no delivery event)."""
         if self._upstream is None:
             raise RuntimeError(f"link {self.name!r}: root rx not attached")
         self._upstream.post(tlp)

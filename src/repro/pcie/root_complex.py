@@ -76,8 +76,8 @@ class RootPort(Component):
         self.port_index = port_index
         self._pending: Dict[int, _HostPendingRead] = {}
         self._pending_nonposted: Dict[int, Event] = {}
-        # ``link.downstream.post``, bound lazily on first DMA read (the
-        # downstream direction attaches when the endpoint is built).
+        # ``link.downstream.post_many``, bound lazily on first DMA read
+        # (the downstream direction attaches when the endpoint is built).
         self._post_down = None
         link.attach_root_rx(self._receive_upstream)
 
@@ -100,13 +100,11 @@ class RootPort(Component):
             data = self.rc.host_memory.read(tlp.addr, tlp.length)
             post = self._post_down
             if post is None:
-                post = self._post_down = self.link.downstream.post
-            self.sim.schedule_many(
+                post = self._post_down = self.link.downstream.post_many
+            self.sim.schedule(
                 self.rc.memory_read_latency,
                 post,
-                [(cpl,) for cpl in split_completion(
-                    tlp, data, rcb=self.link.config.read_completion_boundary
-                )],
+                list(split_completion(tlp, data, rcb=self.link.config.read_completion_boundary)),
             )
         elif kind is TlpKind.COMPLETION or kind is TlpKind.COMPLETION_DATA:
             self._handle_completion(tlp)

@@ -84,7 +84,8 @@ class PcieSwitch(Component):
         delivered: Optional[Event],
     ) -> None:
         """A TLP finished its downstream-link serialization; queue it for
-        the shared uplink.  Called by the hooked ``LinkDirection``."""
+        the shared uplink.  The hooked ``LinkDirection`` schedules this
+        call at the TLP's departure."""
         self._queues[direction.uplink_port].append(
             (tlp, delivered, direction._prop_time)
         )
@@ -124,8 +125,8 @@ class PcieSwitch(Component):
         prop_time: SimTime,
     ) -> None:
         # Last byte cleared the uplink: deliver to the root complex after
-        # the original direction's propagation delay (fault hooks and
-        # tracing stay on the owning LinkDirection).
+        # the original direction's propagation delay (tracing stays on
+        # the owning LinkDirection).
         direction = self._ports[port]
         self.sim.schedule(prop_time, direction._arrive, tlp, delivered)
         if any(self._queues):

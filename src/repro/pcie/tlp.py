@@ -70,8 +70,7 @@ class Tlp:
 
     The class carries ``__slots__``: millions of TLPs are constructed
     per full-fidelity run, and slotted instances are both smaller and
-    faster to build than per-instance ``__dict__`` objects.  Ad-hoc
-    annotations belong in :attr:`detail`.
+    faster to build than per-instance ``__dict__`` objects.
 
     Attributes
     ----------
@@ -109,7 +108,6 @@ class Tlp:
     completion_status: CompletionStatus = CompletionStatus.SUCCESS
     byte_count: int = 0
     lower_address: int = 0
-    detail: dict = field(default_factory=dict)
     #: Cached link footprint, fixed at construction (payload length never
     #: changes after that -- fault corruption flips bits, not sizes).
     wire_bytes: int = field(init=False, default=0)
@@ -202,7 +200,6 @@ def memory_read(addr: int, length: int, requester: str = "", tag: Optional[int] 
     t.completion_status = _SUCCESS
     t.byte_count = 0
     t.lower_address = 0
-    t.detail = {}
     t.wire_bytes = _WIRE_4DW if addr + length > ADDR_32BIT_LIMIT else _WIRE_3DW
     return t
 
@@ -224,7 +221,6 @@ def memory_write(addr: int, data: bytes, requester: str = "") -> Tlp:
     t.completion_status = _SUCCESS
     t.byte_count = 0
     t.lower_address = 0
-    t.detail = {}
     if addr + (length or 1) > ADDR_32BIT_LIMIT:
         t.wire_bytes = _WIRE_4DW + length
     else:
@@ -254,7 +250,6 @@ def completion_with_data(
     t.completion_status = _SUCCESS
     t.byte_count = length if byte_count is None else byte_count
     t.lower_address = lower_address
-    t.detail = {}
     # Completions always use the 3-DW header format.
     t.wire_bytes = _WIRE_3DW + length
     return t

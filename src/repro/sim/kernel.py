@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,30 +93,6 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq = seq = self._seq + 1
         self._push((self._now + delay, seq, callback, args))
-
-    def schedule_many(
-        self,
-        delay: SimTime,
-        callback: Callable[..., None],
-        argtuples: Iterable[tuple],
-    ) -> None:
-        """Batch-schedule ``callback(*args)`` for each tuple in *argtuples*.
-
-        All callbacks fire at the same time, in *argtuples* order —
-        exactly equivalent to a loop of :meth:`schedule` calls, with one
-        delay check and seq update for the whole batch.  Chatty posters
-        (PCIe completion splitters, descriptor bursts) use this to
-        amortize per-event scheduling overhead.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        when = self._now + delay
-        seq = self._seq
-        push = self._push
-        for args in argtuples:
-            seq += 1
-            push((when, seq, callback, args))
-        self._seq = seq
 
     def schedule_at(self, when: SimTime, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute time *when*."""

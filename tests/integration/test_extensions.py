@@ -160,3 +160,16 @@ class TestTimeline:
         brief = timeline.render(include_tlps=False)
         full = timeline.render(include_tlps=True)
         assert len(full.splitlines()) > len(brief.splitlines())
+
+    @pytest.mark.parametrize("capture", [capture_virtio_timeline, capture_xdma_timeline])
+    def test_tlp_view_in_time_order(self, capture):
+        """A queued TLP's ``tlp-tx`` is emitted at enqueue, stamped with
+        its later transmission start; the timeline still reads in time
+        order (this round trip queues TLPs behind 1024 B payloads)."""
+        timeline = capture(seed=67, payload_size=1024)
+        times = [record.time for record in timeline.records]
+        assert times == sorted(times)
+        lines = timeline.render(include_tlps=True).splitlines()[1:]
+        rendered = [float(line.split("us")[0].lstrip(" +")) for line in lines]
+        assert len(rendered) == len(times)
+        assert rendered == sorted(rendered)

@@ -92,21 +92,6 @@ class TestScheduling:
         sim.run()
         assert order == ["early", "late"]
 
-    def test_schedule_many_equals_schedule_loop(self):
-        a, b = Simulator(), Simulator()
-        got_a, got_b = [], []
-        for i in range(5):
-            a.schedule(ns(10), got_a.append, i)
-        b.schedule_many(ns(10), got_b.append, [(i,) for i in range(5)])
-        assert a._seq == b._seq
-        a.run()
-        b.run()
-        assert got_a == got_b == [0, 1, 2, 3, 4]
-
-    def test_schedule_many_negative_delay_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            sim.schedule_many(-1, print, [()])
-
     def test_schedule_at_past_reports_absolute_times(self, sim):
         sim.schedule(ns(10), lambda: None)
         sim.run()
