@@ -27,6 +27,7 @@ from repro.mem.dma import DmaAllocator
 from repro.mem.physical import PhysicalMemory
 from repro.sim.kernel import Simulator
 from repro.sim.time import ns
+from repro.topology.experiments import FleetConfig, run_fleet_pod
 from repro.virtio.virtqueue import DriverVirtqueue, ring_layout
 
 
@@ -287,6 +288,24 @@ def test_xdma_events_per_packet(benchmark):
         measure_events_per_packet, args=("xdma",), rounds=1, iterations=1
     )
     assert events == XDMA_EVENTS_PER_PACKET
+
+
+#: Simulator events of one small fleet pod (4 tenants x 8 packets, seed
+#: 0, boot included): exactly today's count, for the same reason.  Its
+#: switch transmits a TLP that finds the uplink free and no port waiting
+#: at once, so the TLP costs one event; a grant is scheduled only while
+#: ports wait.  Scheduling an uplink-done event for every TLP cost 14006.
+FLEET_POD_EVENTS = 12407
+
+
+def measure_fleet_pod_events() -> int:
+    return run_fleet_pod(pod=0, seed=0, packets=8, config=FleetConfig(tenants=4)).events
+
+
+@pytest.mark.benchmark(group="events")
+def test_fleet_pod_events(benchmark):
+    events = benchmark.pedantic(measure_fleet_pod_events, rounds=1, iterations=1)
+    assert events == FLEET_POD_EVENTS
 
 
 # -- the warm pool -------------------------------------------------------------

@@ -13,9 +13,10 @@ PG195 descriptors are 32 bytes::
     [28] next descriptor address high
 
 For H2C the source is a host address and the destination an AXI (card)
-address; for C2H the reverse.  The same encoding is used on the
-descriptor-bypass port, which is how the VirtIO controller drives the
-engines without host-resident descriptor rings.
+address; for C2H the reverse.  The descriptor-bypass port takes the
+same fields (source, destination, length) directly, which is how the
+VirtIO controller drives the engines without host-resident descriptor
+rings.
 """
 
 from __future__ import annotations

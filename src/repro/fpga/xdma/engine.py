@@ -11,13 +11,17 @@ and raises its channel interrupt.
 
 **Descriptor-bypass mode** (used by the VirtIO controller, per the
 paper's Fig. 2: "The VirtIO controller ... controls the DMA engine of
-the XDMA IP"): fabric logic feeds descriptors directly through the
-bypass port; no host-resident descriptor, no fetch round trip.  Each
-submission completes with an event the controller chains on.
+the XDMA IP"): fabric logic feeds a descriptor's fields directly
+through the bypass port; no host-resident descriptor, no fetch round
+trip.  Each submission completes with an event the controller chains
+on.
 
-Execution timing = descriptor processing cycles + PCIe transfer
-(request segmentation, serialization, completion reassembly -- all from
-:mod:`repro.pcie`) + AXI-side memory access time.
+Both modes feed one data mover per engine: a FIFO of transfer jobs
+(source, destination, length, completion event) served one at a time
+by scheduled callbacks, so a transfer costs no simulation process.  Execution timing = descriptor
+processing cycles + PCIe transfer (request segmentation,
+serialization, completion reassembly -- all from :mod:`repro.pcie`) +
+AXI-side memory access time.
 """
 
 from __future__ import annotations
@@ -27,7 +31,11 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Optional, Tuple
 
 from repro.faults.plan import KIND_DESC_ERROR, SITE_XDMA_ENGINE
-from repro.fpga.xdma.descriptor import DescriptorError, XdmaDescriptor
+from repro.fpga.xdma.descriptor import (
+    MAX_DESCRIPTOR_LENGTH,
+    DescriptorError,
+    XdmaDescriptor,
+)
 from repro.fpga.xdma.regs import (
     CTRL_IE_DESC_COMPLETED,
     CTRL_IE_DESC_STOPPED,
@@ -61,6 +69,12 @@ DESC_PROCESS_CYCLES = 40
 #: Fabric cycles from final beat to status/writeback emission.
 COMPLETION_CYCLES = 4
 
+#: A data-mover job: source, destination, length, the event fired when
+#: the data has moved, and whether it came through the bypass port
+#: (which sets the status bits per descriptor; an SGDMA run sets them
+#: at its start and stop).
+Job = Tuple[int, int, int, Event, bool]
+
 
 class DmaEngine(Component):
     """One DMA channel (direction + index) of the XDMA IP."""
@@ -79,7 +93,6 @@ class DmaEngine(Component):
         self.channel = channel
         # Fixed fabric-time costs (the clock never changes after build).
         self._desc_process_time = core.clock.cycles_to_time(DESC_PROCESS_CYCLES)
-        self._bypass_event_name = f"{self.path}.bypass"
         self._completion_time = core.clock.cycles_to_time(COMPLETION_CYCLES)
         # Register state (mirrored by the register file hooks).
         self.control = 0
@@ -90,11 +103,11 @@ class DmaEngine(Component):
         self.desc_adjacent = 0
         self.poll_wb_lo = 0
         self.poll_wb_hi = 0
-        # Bypass mode.
-        self._bypass_fifo: Deque[Tuple[XdmaDescriptor, Event]] = deque()
-        self._bypass_busy = False
-        # Statistics.
-        self.descriptors_executed = 0
+        # The data mover: the head job is the one in flight.
+        self._jobs: Deque[Job] = deque()
+        self._busy = False
+        #: The step after descriptor decode: host read, or AXI read.
+        self._decoded = self._h2c_read if direction is Direction.H2C else self._c2h_access
         self.last_descriptor_length = 0
         #: Optional fabric-side hook invoked when an SGDMA run finishes
         #: (the A1 ablation's "user logic monitoring the engine's status
@@ -159,7 +172,9 @@ class DmaEngine(Component):
                     return
             else:
                 desc = XdmaDescriptor.decode(raw)
-            yield from self._execute(desc)
+            # The run is already executing, so the mover starts at once
+            # and leaves the status bits to the run.
+            yield self._enqueue(desc.src_addr, desc.dst_addr, desc.length, None, False)
             self.completed_count += 1
             if desc.stop or not (self.control & CTRL_RUN):
                 break
@@ -181,53 +196,93 @@ class DmaEngine(Component):
 
     # -- descriptor bypass mode ------------------------------------------------------
 
-    def submit_bypass(self, desc: XdmaDescriptor) -> Event:
-        """Feed a descriptor through the bypass port.
+    def submit_bypass(
+        self, src_addr: int, dst_addr: int, length: int, done: Optional[Event] = None
+    ) -> Event:
+        """Feed one transfer through the bypass port.
 
-        Returns an event fired when the data movement for this
-        descriptor is complete.  Descriptors execute in submission
-        order, one at a time (the engine has a single data mover).
+        Takes the fields PG195's bypass port takes.  Returns *done* (a
+        fresh event when none is given), fired when the data movement is
+        complete: an H2C transfer fires it with the bytes it moved, a
+        C2H transfer with ``None``.  Transfers execute in submission
+        order, one at a time (the engine has a single data mover), and
+        each sets BUSY while it runs and STOPPED|COMPLETED when it ends.
         """
-        done = Event(name=self._bypass_event_name)
-        self._bypass_fifo.append((desc, done))
-        if not self._bypass_busy:
-            self._bypass_busy = True
-            self.spawn(self._run_bypass(), name="bypass")
+        if not 0 < length <= MAX_DESCRIPTOR_LENGTH:
+            raise DescriptorError(f"descriptor length {length} out of range")
+        return self._enqueue(src_addr, dst_addr, length, done, True)
+
+    # -- the data mover --------------------------------------------------------------
+
+    def _enqueue(
+        self, src: int, dst: int, length: int, done: Optional[Event], bypass: bool
+    ) -> Event:
+        if done is None:
+            done = Event()
+        self._jobs.append((src, dst, length, done, bypass))
+        if not self._busy:
+            self._busy = True
+            if bypass:
+                # A mover woken through the bypass port acts on the
+                # next delta cycle, like any freshly started FSM.
+                self.sim.schedule(0, self._start)
+            else:
+                self._start()
         return done
 
-    def _run_bypass(self):
-        """Process body: drain the bypass FIFO."""
-        while self._bypass_fifo:
-            desc, done = self._bypass_fifo.popleft()
+    def _start(self) -> None:
+        """Begin the job at the head of the FIFO: decode the descriptor."""
+        if self._jobs[0][4]:
             self.status = STAT_BUSY
-            yield from self._execute(desc)
-            self.status = STAT_DESC_STOPPED | STAT_DESC_COMPLETED
-            done.trigger(None)
-        self._bypass_busy = False
+        # Inlined ``sim.schedule``, as on the other per-transfer paths.
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        sim._push((sim._now + self._desc_process_time, seq, self._decoded, ()))
 
-    # -- shared data mover ----------------------------------------------------------
+    def _h2c_read(self) -> None:
+        src, _, length, _, _ = self._jobs[0]
+        self.core.endpoint.dma_read(src, length).on_trigger(self._h2c_fetched)
 
-    def _execute(self, desc: XdmaDescriptor):
-        """Move one descriptor's worth of data."""
-        yield self._desc_process_time
-        if self.direction is Direction.H2C:
-            data = yield self.core.endpoint.dma_read(desc.src_addr, desc.length)
-            yield self.core.axi_access_time(desc.dst_addr, desc.length)
-            self.core.axi_write(desc.dst_addr, data)
-        else:
-            yield self.core.axi_access_time(desc.src_addr, desc.length)
-            # Snapshot the AXI source: the staging slot may be rewritten
-            # while the write TLPs are in flight, so the payload views
-            # must reference this private copy.
-            data = self.core.axi_read(desc.src_addr, desc.length)
-            yield self.core.endpoint.dma_write(desc.dst_addr, memoryview(data))
-        self.descriptors_executed += 1
-        self.last_descriptor_length = desc.length
+    def _h2c_fetched(self, event: Event) -> None:
+        _, dst, length, _, _ = self._jobs[0]
+        delay = self.core.axi_access_time(dst, length)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        sim._push((sim._now + delay, seq, self._h2c_land, (event.value,)))
+
+    def _h2c_land(self, data: bytes) -> None:
+        self.core.axi_write(self._jobs[0][1], data)
+        self._finish(data)
+
+    def _c2h_access(self) -> None:
+        src, _, length, _, _ = self._jobs[0]
+        delay = self.core.axi_access_time(src, length)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        sim._push((sim._now + delay, seq, self._c2h_send, ()))
+
+    def _c2h_send(self) -> None:
+        src, dst, length, _, _ = self._jobs[0]
+        # Snapshot the AXI source: the staging slot may be rewritten
+        # while the write TLPs are in flight, so the payload views must
+        # reference this private copy.
+        data = self.core.axi_read(src, length)
+        self.core.endpoint.dma_write(dst, memoryview(data)).on_trigger(self._c2h_sent)
+
+    def _c2h_sent(self, _event: Event) -> None:
+        self._finish(None)
+
+    def _finish(self, value: Optional[bytes]) -> None:
+        """The head job moved its data: fire its event, start the next."""
+        src, dst, length, done, bypass = self._jobs.popleft()
+        self.last_descriptor_length = length
         if self.tracer.enabled:
-            self.trace(
-                "desc-executed",
-                direction=self.direction.value,
-                length=desc.length,
-                src=desc.src_addr,
-                dst=desc.dst_addr,
-            )
+            self.trace("desc-executed", direction=self.direction.value,
+                       length=length, src=src, dst=dst)
+        if bypass:
+            self.status = STAT_DESC_STOPPED | STAT_DESC_COMPLETED
+        done.trigger(value)
+        if self._jobs:
+            self._start()
+        else:
+            self._busy = False

@@ -13,6 +13,12 @@ traffic is not arbitrated: root-complex egress is not the bottleneck in
 these experiments, and modeling it would double the event count for no
 observable effect.
 
+Like a link direction, the uplink computes each departure instead of
+simulating it: a TLP that finds the uplink free and no port waiting is
+transmitted at once, so the only event it adds to the link's hand-off
+is its arrival.  Only while ports wait does the switch schedule a
+grant, at the instant the uplink frees, and run the round-robin there.
+
 A link never attached to a switch behaves exactly as before -- the hook
 in :class:`~repro.pcie.link.LinkDirection` is a ``None`` check.
 """
@@ -45,8 +51,11 @@ class PcieSwitch(Component):
         super().__init__(sim, name, parent=parent)
         self.config = uplink
         self._ports: List[LinkDirection] = []
-        self._queues: List[Deque[Tuple["Tlp", Optional[Event], SimTime]]] = []
-        self._busy = False
+        self._queues: List[Deque[Tuple["Tlp", Optional[Event]]]] = []
+        #: When the uplink finishes clocking out its last granted TLP.
+        self._free_at: SimTime = 0
+        #: Whether a grant is scheduled (some port waits).
+        self._granting = False
         self._next_port = 0
         self._ser_cache: Dict[int, SimTime] = {}
         self.tlps_forwarded = 0
@@ -83,27 +92,37 @@ class PcieSwitch(Component):
         tlp: "Tlp",
         delivered: Optional[Event],
     ) -> None:
-        """A TLP finished its downstream-link serialization; queue it for
-        the shared uplink.  The hooked ``LinkDirection`` schedules this
-        call at the TLP's departure."""
-        self._queues[direction.uplink_port].append(
-            (tlp, delivered, direction._prop_time)
-        )
-        if not self._busy:
-            self._busy = True
-            self._transmit_next()
+        """A TLP finished its downstream-link serialization; send it up
+        the shared uplink now, or queue it for a grant.  The hooked
+        ``LinkDirection`` schedules this call at the TLP's departure."""
+        port = direction.uplink_port
+        if not self._granting and self._free_at <= self.sim.now:
+            self._transmit(port, tlp, delivered)
+            return
+        self._queues[port].append((tlp, delivered))
+        if not self._granting:
+            self._granting = True
+            self.sim.schedule_at(self._free_at, self._grant)
 
-    def _transmit_next(self) -> None:
-        # Round-robin grant: scan from the port after the last winner.
+    def _grant(self) -> None:
+        # The uplink is free: round-robin grant, scanning from the port
+        # after the last winner.
         ports = len(self._queues)
         for offset in range(ports):
             port = (self._next_port + offset) % ports
             if self._queues[port]:
                 break
-        else:  # pragma: no cover - _busy guards against empty dispatch
-            self._busy = False
-            return
-        tlp, delivered, prop_time = self._queues[port].popleft()
+        tlp, delivered = self._queues[port].popleft()
+        self._transmit(port, tlp, delivered)
+        if any(self._queues):
+            self.sim.schedule_at(self._free_at, self._grant)
+        else:
+            self._granting = False
+
+    def _transmit(self, port: int, tlp: "Tlp", delivered: Optional[Event]) -> None:
+        """Clock *tlp* onto the free uplink and schedule its arrival at
+        the root complex, after the original direction's propagation
+        delay (tracing stays on the owning ``LinkDirection``)."""
         self._next_port = port + 1
         wire = tlp.wire_bytes
         ser = self._ser_cache.get(wire)
@@ -115,24 +134,12 @@ class PcieSwitch(Component):
         self.per_port_tlps[port] += 1
         if self.tracer.enabled:
             self.trace("uplink-tx", port=port, tlp=tlp.kind.value, bytes=wire)
-        self.sim.schedule(ser, self._uplink_done, port, tlp, delivered, prop_time)
-
-    def _uplink_done(
-        self,
-        port: int,
-        tlp: "Tlp",
-        delivered: Optional[Event],
-        prop_time: SimTime,
-    ) -> None:
-        # Last byte cleared the uplink: deliver to the root complex after
-        # the original direction's propagation delay (tracing stays on
-        # the owning LinkDirection).
+        sim = self.sim
+        self._free_at = departure = sim._now + ser
         direction = self._ports[port]
-        self.sim.schedule(prop_time, direction._arrive, tlp, delivered)
-        if any(self._queues):
-            self._transmit_next()
-        else:
-            self._busy = False
+        # Inlined ``sim.schedule_at``, as in ``LinkDirection``.
+        sim._seq = seq = sim._seq + 1
+        sim._push((departure + direction._prop_time, seq, direction._arrive_cb, (tlp, delivered)))
 
     @property
     def stats(self) -> Dict[str, int]:

@@ -70,7 +70,6 @@ class Simulator:
         self._seed_root = np.random.SeedSequence(seed)
         self._rngs: Dict[str, np.random.Generator] = {}
         self._pending_failure: Optional[ProcessError] = None
-        self._processes_spawned = 0
         self._events_executed = 0
 
     # -- time --------------------------------------------------------------
@@ -123,7 +122,6 @@ class Simulator:
         next delta cycle.
         """
         proc = Process(self, body, name=name or process_name(body))
-        self._processes_spawned += 1
         self.schedule(0, proc._start)
         return proc
 

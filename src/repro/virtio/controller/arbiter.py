@@ -17,13 +17,15 @@ policy when the in-flight transfer's completion event fires:
 The arbiter is pure event bookkeeping: it draws no randomness and adds
 no latency of its own -- a grant issued with nothing else in flight
 starts immediately, so a single-function device behaves identically
-with or without one.
+with or without one.  Each transfer carries one completion event from
+the moment it is queued: the engine fires that same event, which
+resumes its waiter and then releases the arbiter for the next grant.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.component import Component
 from repro.sim.event import Event
@@ -31,13 +33,38 @@ from repro.sim.event import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
-#: A queued transfer: a thunk that launches the DMA and returns its
-#: completion event.
-StartFn = Callable[[], Event]
+#: Launches a granted transfer on the data mover:
+#: ``start(src, dst, length, done)`` (``DmaEngine.submit_bypass``).
+StartFn = Callable[[int, int, int, Event], Any]
+#: A queued transfer: how to start it, its fields and its event.
+Transfer = Tuple[StartFn, int, int, int, Event]
 
 POLICY_ROUND_ROBIN = "rr"
 POLICY_WEIGHTED = "weighted"
 POLICIES = (POLICY_ROUND_ROBIN, POLICY_WEIGHTED)
+
+
+class _Completion(Event):
+    """An arbitrated transfer's completion event.
+
+    Its waiter (a controller FSM) registers only after
+    :meth:`DmaBandwidthArbiter.submit` returns, and an uncontended grant
+    has started the transfer by then, so a callback the arbiter
+    registered would run first.  Triggering runs the waiters, then
+    releases the arbiter, so the next grant follows the waiter's
+    reaction.
+    """
+
+    __slots__ = ("_arbiter",)
+
+    def __init__(self, arbiter: "DmaBandwidthArbiter") -> None:
+        super().__init__()
+        self._arbiter = arbiter
+
+    def trigger(self, value: Any = None) -> Event:
+        Event.trigger(self, value)
+        self._arbiter._released()
+        return self
 
 
 class DmaBandwidthArbiter(Component):
@@ -54,7 +81,7 @@ class DmaBandwidthArbiter(Component):
         if policy not in POLICIES:
             raise ValueError(f"unknown arbiter policy {policy!r} (expected {POLICIES})")
         self.policy = policy
-        self._queues: List[Deque[StartFn]] = []
+        self._queues: List[Deque[Transfer]] = []
         self._weights: List[int] = []
         self._credits: List[int] = []
         self._busy = False
@@ -80,14 +107,30 @@ class DmaBandwidthArbiter(Component):
 
     # -- submission ---------------------------------------------------------
 
-    def submit(self, port: int, start: StartFn) -> None:
-        """Queue a transfer for *port*; ``start`` is invoked when the
-        grant is issued and must return the transfer's completion
-        event."""
-        self._queues[port].append(start)
+    def completion(self) -> Event:
+        """A completion event for a transfer to :meth:`submit` later."""
+        return _Completion(self)
+
+    def submit(
+        self,
+        port: int,
+        start: StartFn,
+        src: int,
+        dst: int,
+        length: int,
+        done: Optional[Event] = None,
+    ) -> Event:
+        """Queue a transfer for *port*: ``start(src, dst, length, done)``
+        runs when the grant is issued, and must fire *done* when the
+        transfer completes.  *done* comes from :meth:`completion`
+        (a fresh one when omitted); it is returned."""
+        if done is None:
+            done = _Completion(self)
+        self._queues[port].append((start, src, dst, length, done))
         if not self._busy:
             self._busy = True
             self._grant_next()
+        return done
 
     # -- scheduling ---------------------------------------------------------
 
@@ -114,7 +157,7 @@ class DmaBandwidthArbiter(Component):
 
     def _grant_next(self) -> None:
         port = self._pick()
-        start = self._queues[port].popleft()
+        start, src, dst, length, done = self._queues[port].popleft()
         self.grants[port] += 1
         if self.policy == POLICY_WEIGHTED:
             self._credits[port] -= 1
@@ -127,10 +170,9 @@ class DmaBandwidthArbiter(Component):
                 self._fresh = True
         else:
             self._next = (port + 1) % len(self._queues)
-        done = start()
-        done.on_trigger(self._released)
+        start(src, dst, length, done)
 
-    def _released(self, _event: Event) -> None:
+    def _released(self) -> None:
         if any(self._queues):
             self._grant_next()
         else:

@@ -10,9 +10,11 @@ from repro.fpga.xdma import (
 )
 from repro.mem.dma import DmaAllocator
 from repro.mem.fpga_mem import Bram
+from repro.mem.region import MemoryAccessError
 from repro.pcie.enumeration import enumerate_all
 from repro.pcie.msi import MSI_ADDRESS_BASE, MSIX_ENTRY_SIZE
 from repro.pcie.root_complex import RootComplex
+from repro.sim.kernel import Simulator
 
 
 class TestDescriptor:
@@ -172,9 +174,7 @@ class TestBypassMode:
         src.write(b"bypass" * 20)
 
         def body():
-            yield core.h2c[0].submit_bypass(
-                XdmaDescriptor(src_addr=src.addr, dst_addr=0x300, length=120)
-            )
+            yield core.h2c[0].submit_bypass(src.addr, 0x300, 120)
 
         run(sim, body())
         assert core.axi_read(0x300, 120) == b"bypass" * 20
@@ -185,16 +185,82 @@ class TestBypassMode:
         src = alloc.alloc(64)
         src.write(b"1" * 32 + b"2" * 32)
         order = []
-        e1 = core.h2c[0].submit_bypass(
-            XdmaDescriptor(src_addr=src.addr, dst_addr=0x0, length=32)
-        )
-        e2 = core.h2c[0].submit_bypass(
-            XdmaDescriptor(src_addr=src.addr + 32, dst_addr=0x20, length=32)
-        )
+        e1 = core.h2c[0].submit_bypass(src.addr, 0x0, 32)
+        e2 = core.h2c[0].submit_bypass(src.addr + 32, 0x20, 32)
         e1.on_trigger(lambda e: order.append(1))
         e2.on_trigger(lambda e: order.append(2))
         sim.run()
         assert order == [1, 2]
+
+    def test_h2c_event_carries_moved_bytes(self, xdma_system):
+        system = xdma_system
+        sim, core, alloc = system["sim"], system["core"], system["alloc"]
+        src = alloc.alloc(64)
+        src.write(bytes(range(64)))
+        done = core.h2c[0].submit_bypass(src.addr, 0x400, 64)
+        assert sim.run_until_triggered(done) == bytes(range(64))
+        assert core.axi_read(0x400, 64) == bytes(range(64))
+
+    def test_c2h_event_fires_after_delivery(self, xdma_system):
+        system = xdma_system
+        sim, core, alloc = system["sim"], system["core"], system["alloc"]
+        core.axi_write(0x500, b"card bytes")
+        dst = alloc.alloc(16)
+        done = core.c2h[0].submit_bypass(0x500, dst.addr, 10)
+        assert sim.run_until_triggered(done) is None
+        assert dst.read(0, 10) == b"card bytes"
+
+    def test_transfers_spawn_no_process(self, xdma_system, monkeypatch):
+        """The data mover runs as scheduled callbacks: a bypass transfer
+        costs no simulation process in either direction."""
+        system = xdma_system
+        sim, core, alloc = system["sim"], system["core"], system["alloc"]
+        src = alloc.alloc(256)
+        src.write(b"h" * 256)
+        dst = alloc.alloc(256)
+        core.axi_write(0x1000, b"c" * 256)
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("bypass transfer spawned a process")
+
+        monkeypatch.setattr(Simulator, "spawn", no_spawn)
+        reads = [core.h2c[0].submit_bypass(src.addr + 64 * i, 0x600 + 64 * i, 64)
+                 for i in range(4)]
+        writes = [core.c2h[0].submit_bypass(0x1000 + 64 * i, dst.addr + 64 * i, 64)
+                  for i in range(4)]
+        sim.run()
+        assert all(event.triggered for event in reads + writes)
+        assert core.axi_read(0x600, 256) == b"h" * 256
+        assert dst.read(0, 256) == b"c" * 256
+
+    def test_status_bits_per_transfer(self, xdma_system):
+        system = xdma_system
+        sim, core, alloc = system["sim"], system["core"], system["alloc"]
+        src = alloc.alloc(32)
+        engine = core.h2c[0]
+        done = engine.submit_bypass(src.addr, 0x700, 32)
+        sim.run(until=sim.now + 1)
+        assert engine.status == regs.STAT_BUSY
+        sim.run_until_triggered(done)
+        assert engine.status == regs.STAT_DESC_STOPPED | regs.STAT_DESC_COMPLETED
+
+    @pytest.mark.parametrize("direction", ["h2c", "c2h"])
+    def test_unmapped_axi_address_raises_without_completion(self, xdma_system, direction):
+        system = xdma_system
+        sim, core, alloc = system["sim"], system["core"], system["alloc"]
+        host = alloc.alloc(32)
+        unmapped = 0x4000_0000  # far past the 256 KiB BRAM at AXI 0
+        if direction == "h2c":
+            done = core.h2c[0].submit_bypass(host.addr, unmapped, 32)
+        else:
+            done = core.c2h[0].submit_bypass(unmapped, host.addr, 32)
+        with pytest.raises(MemoryAccessError, match="unmapped"):
+            sim.run()
+        assert not done.triggered
+
+    def test_length_validated(self, xdma_system):
+        with pytest.raises(DescriptorError):
+            xdma_system["core"].h2c[0].submit_bypass(0, 0, 0)
 
     def test_user_irq(self, xdma_system):
         system = xdma_system

@@ -60,9 +60,9 @@ class TestDataPath:
     def test_descriptor_fetched_from_host_per_transfer(self, testbed):
         """The SGDMA engine fetches each descriptor over PCIe -- the
         per-transfer exchange VirtIO avoids (Section IV-A)."""
-        h2c_before = testbed.xdma.h2c[0].descriptors_executed
+        h2c_before = testbed.xdma.h2c[0].completed_count
         write_read(testbed, b"x" * 64)
-        assert testbed.xdma.h2c[0].descriptors_executed == h2c_before + 1
+        assert testbed.xdma.h2c[0].completed_count == h2c_before + 1
 
     def test_sequential_transfers(self, testbed):
         for i in range(10):

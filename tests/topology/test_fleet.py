@@ -94,3 +94,15 @@ class TestSweep:
         assert 0.0 < result.fairness <= 1.0
         assert result.aggregate_goodput_pps > 0
         assert len(result.pods) == 2
+
+
+class TestDeepWritePipelines:
+    def test_more_queued_writes_than_staging_slots_conserve(self):
+        """24 tenants on 8 queue pairs queue up to 11 device writes on
+        one DMA port, more than its 8 staging slots (the CLI's
+        ``fleetsweep --pods 1 --tenants 24 --queue-pairs 8 --packets
+        8``); every write must still carry its own bytes."""
+        result = run_fleet_sweep(pods=1, tenants=24, queue_pairs=8, packets=8, seed=0)
+        (pod,) = result.pods
+        assert pod.conserved, pod.health.violations
+        assert pod.health.offered == 24 * 8

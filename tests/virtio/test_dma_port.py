@@ -75,6 +75,20 @@ class TestHostWrite:
         port["sim"].run()
         assert port["rc"].host_memory.read(0x8000, 6) == b"second"
 
+    def test_slot_rotation_preserves_pipelined_writes(self, port):
+        """More outstanding writes than slots: a write whose slot still
+        holds a queued write's bytes waits for that write, so each
+        address receives its own data."""
+        sim = port["sim"]
+        done = [
+            port["port"].host_write(0x6000 + i * 64, bytes([i]) * 32)
+            for i in range(NUM_STAGING_SLOTS + 3)
+        ]
+        sim.run()
+        assert all(event.triggered for event in done)
+        for i in range(NUM_STAGING_SLOTS + 3):
+            assert port["rc"].host_memory.read(0x6000 + i * 64, 32) == bytes([i]) * 32
+
     def test_size_limits(self, port):
         with pytest.raises(ValueError):
             port["port"].host_write(0, b"")
