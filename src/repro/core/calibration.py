@@ -43,8 +43,6 @@ class CalibrationProfile:
     host_memory_read_ns: float = 75.0
     #: Endpoint completer latency for MMIO reads (ns).
     endpoint_completer_ns: float = 150.0
-    #: Scale factor on every host software segment (CPU-speed knob).
-    host_speed_factor: float = 1.0
     #: XDMA C2H "data ready" user interrupt + poll() before read()
     #: (ablation A1; False reproduces the paper's favourable setup).
     xdma_c2h_interrupt: bool = False
@@ -60,8 +58,6 @@ class CalibrationProfile:
             jitter_sigma=self.jitter_sigma,
             interference=self.interference,
         )
-        if self.host_speed_factor != 1.0:
-            model = model.scaled(self.host_speed_factor)
         if not self.noise_enabled:
             model = model.without_noise()
         return model

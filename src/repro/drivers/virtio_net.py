@@ -58,6 +58,8 @@ from repro.virtio.constants import (
     VIRTIO_NET_F_MQ,
     VIRTIO_NET_F_MTU,
     VIRTIO_NET_F_STATUS,
+    rx_queue_index,
+    tx_queue_index,
 )
 from repro.virtio.features import FeatureSet
 from repro.virtio.net_header import (
@@ -70,21 +72,6 @@ from repro.virtio.net_header import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pcie.enumeration import DiscoveredFunction
     from repro.virtio.transport import Transport
-
-RECEIVEQ = 0
-TRANSMITQ = 1
-CTRLQ = 2
-
-
-def rx_queue_index(pair: int) -> int:
-    """Queue index of pair *pair*'s receiveq (5.1.2)."""
-    return 2 * pair
-
-
-def tx_queue_index(pair: int) -> int:
-    """Queue index of pair *pair*'s transmitq (5.1.2)."""
-    return 2 * pair + 1
-
 
 #: Receive buffers kept posted (virtio-net fills the whole ring; a
 #: modest pool keeps simulation memory small with identical latency
@@ -161,29 +148,6 @@ class VirtioNetDriver:
         self.needs_reset_seen = 0
         self.requests_failed = 0
         self.recovery_latencies_ps: List[int] = []
-
-    # -- single-queue compatibility views ------------------------------------------
-    #
-    # Pre-MQ code (tests, fault injector, health probes) reads these as
-    # scalars/dicts; with one pair they are exactly the pair-0 state.
-
-    @property
-    def _rx_buffers(self) -> Dict[int, DmaBuffer]:
-        merged: Dict[int, DmaBuffer] = {}
-        for pool in self._rx_pools:
-            merged.update(pool)
-        return merged
-
-    @property
-    def _pending_tx(self) -> Dict[int, tuple]:
-        merged: Dict[int, tuple] = {}
-        for pending in self._pending:
-            merged.update(pending)
-        return merged
-
-    @property
-    def _tx_outstanding(self) -> int:
-        return sum(self._tx_counts)
 
     # -- probe --------------------------------------------------------------------
 
@@ -638,8 +602,3 @@ class VirtioNetDriver:
         yield from kernel.block_on(self._ctrl_pending)
         self.ctrl_commands += 1
         return self._ctrl_status.read(0, 1)[0]
-
-    def set_promiscuous(self, enabled: bool) -> Generator[Any, Any, int]:
-        """VIRTIO_NET_CTRL_RX / PROMISC."""
-        ack = yield from self.send_ctrl_command(0, 0, bytes([1 if enabled else 0]))
-        return ack

@@ -89,10 +89,6 @@ class FaultInjector:
 
     # -- accounting ------------------------------------------------------------------
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
     def injected_by_hook(self) -> Dict[str, int]:
         """``"site/kind" -> count`` with deterministic key order."""
         return {

@@ -71,10 +71,6 @@ class PerfCounterBank(Component):
     def is_running(self, counter: str) -> bool:
         return counter in self._open
 
-    def intervals(self, counter: str) -> List[SimTime]:
-        """All recorded intervals for *counter* (ps, cycle-quantized)."""
-        return list(self._intervals.get(counter, []))
-
     def intervals_array(self, counter: str) -> np.ndarray:
         """Recorded intervals as an int64 array (vectorized statistics)."""
         return np.asarray(self._intervals.get(counter, []), dtype=np.int64)
@@ -85,16 +81,6 @@ class PerfCounterBank(Component):
         if not values:
             raise CounterError(f"counter {counter!r} has no recorded intervals")
         return values[-1]
-
-    def total(self, counter: str) -> SimTime:
-        """Sum of recorded intervals."""
-        return sum(self._intervals.get(counter, []))
-
-    def count(self, counter: str) -> int:
-        return len(self._intervals.get(counter, ()))
-
-    def counters(self) -> List[str]:
-        return sorted(self._intervals)
 
     def clear(self) -> None:
         """Drop recorded intervals (open intervals keep running)."""

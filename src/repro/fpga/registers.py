@@ -106,9 +106,6 @@ class RegisterFile:
             Register(name, offset, reset, read_hook, write_hook, read_only)
         )
 
-    def __getitem__(self, offset: int) -> Register:
-        return self._registers[offset]
-
     def by_name(self, name: str) -> Register:
         for reg in self._registers.values():
             if reg.name == name:

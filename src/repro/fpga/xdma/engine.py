@@ -222,12 +222,7 @@ class DmaEngine(Component):
         self._jobs.append((src, dst, length, done, bypass))
         if not self._busy:
             self._busy = True
-            if bypass:
-                # A mover woken through the bypass port acts on the
-                # next delta cycle, like any freshly started FSM.
-                self.sim.schedule(0, self._start)
-            else:
-                self._start()
+            self._start()
         return done
 
     def _start(self) -> None:

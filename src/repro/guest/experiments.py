@@ -123,9 +123,6 @@ class GuestSweepReport:
     #: driver -> mode -> that column's sweep.
     results: Dict[str, Dict[str, GuestModeSweep]] = field(default_factory=dict)
 
-    def column(self, driver: str, mode: str) -> GuestModeSweep:
-        return self.results[driver][mode]
-
     def as_dict(self) -> Dict[str, Any]:
         """Machine-readable report (the CLI's ``--json`` rendering)."""
         out: Dict[str, Any] = {

@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Optional
 
+from repro.virtio.constants import TRANSMITQ
+
 
 class BoundedQueue:
     """A FIFO with a capacity and per-reason drop counters.
@@ -112,8 +114,6 @@ def apply_overload_bounds(testbed, config) -> None:
     if isinstance(testbed, VirtioTestbed):
         driver = testbed.driver
         if config.tx_depth_limit is not None:
-            from repro.drivers.virtio_net import TRANSMITQ
-
             driver.transport.queue(TRANSMITQ).depth_limit = config.tx_depth_limit
         if driver.netdev is not None and driver.netdev.can_xmit is None:
             driver.netdev.can_xmit = driver.tx_has_room

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.health.monitor import ConservationMonitor, HealthReport
+from repro.virtio.constants import TRANSMITQ
 from repro.workload.admission import OverloadConfig
 from repro.workload.arrivals import make_arrivals
 from repro.workload.generator import OpenLoopGenerator
@@ -142,8 +143,6 @@ def _reset_hop_counters(testbed) -> None:
     from repro.core.testbed import VirtioTestbed, XdmaTestbed
 
     if isinstance(testbed, VirtioTestbed):
-        from repro.drivers.virtio_net import TRANSMITQ
-
         if testbed.driver.netdev is not None:
             testbed.driver.netdev.tx_dropped.clear()
         testbed.driver.transport.queue(TRANSMITQ).depth_rejects = 0

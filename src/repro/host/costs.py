@@ -143,15 +143,6 @@ class CostModel:
     #: The preemption field.
     interference: InterferenceModel = field(default_factory=InterferenceModel)
 
-    def segment(self, name: str) -> LatencyModel:
-        model = self.segments.get(name)
-        if model is None:
-            raise KeyError(f"no cost segment named {name!r}")
-        return model
-
-    def has_segment(self, name: str) -> bool:
-        return name in self.segments
-
     def copy_cost(self, length: int) -> SimTime:
         """Deterministic component of copying *length* bytes."""
         return round(self.copy_ps_per_byte * length)
@@ -168,15 +159,6 @@ class CostModel:
             copy_ps_per_byte=self.copy_ps_per_byte,
             csum_ps_per_byte=self.csum_ps_per_byte,
             interference=self.interference.disabled(),
-        )
-
-    def scaled(self, factor: float) -> "CostModel":
-        """All nominal segment costs scaled (CPU-speed sensitivity)."""
-        return CostModel(
-            segments={name: m.scaled(factor) for name, m in self.segments.items()},
-            copy_ps_per_byte=self.copy_ps_per_byte * factor,
-            csum_ps_per_byte=self.csum_ps_per_byte * factor,
-            interference=self.interference,
         )
 
 

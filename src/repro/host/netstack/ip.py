@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.host.netstack.checksum import internet_checksum, verify_checksum
 
@@ -123,11 +123,3 @@ class RoutingTable:
             if route.matches(dst) and (best is None or route.prefix_len > best.prefix_len):
                 best = route
         return best
-
-    def next_hop(self, dst: int) -> Optional[Tuple[str, int]]:
-        """(device name, neighbour IP to ARP for)."""
-        route = self.lookup(dst)
-        if route is None:
-            return None
-        neighbour = route.gateway if route.gateway else dst
-        return route.device, neighbour

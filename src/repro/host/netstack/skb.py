@@ -44,6 +44,3 @@ class Skb:
     csum_offset: int = 0
     device: str = ""
     detail: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.data)

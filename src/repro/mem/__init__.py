@@ -6,20 +6,14 @@ from repro.mem.layout import (
     Field,
     StructDef,
     align_up,
-    hexdump,
-    is_aligned,
     read_u8,
     read_u16,
-    read_u16_be,
     read_u32,
-    read_u32_be,
     read_u64,
     read_uint,
     write_u8,
     write_u16,
-    write_u16_be,
     write_u32,
-    write_u32_be,
     write_u64,
     write_uint,
 )
@@ -48,20 +42,14 @@ __all__ = [
     "RamRegion",
     "StructDef",
     "align_up",
-    "hexdump",
-    "is_aligned",
     "read_u8",
     "read_u16",
-    "read_u16_be",
     "read_u32",
-    "read_u32_be",
     "read_u64",
     "read_uint",
     "write_u8",
     "write_u16",
-    "write_u16_be",
     "write_u32",
-    "write_u32_be",
     "write_u64",
     "write_uint",
 ]

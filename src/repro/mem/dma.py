@@ -13,7 +13,6 @@ paper's bare-metal host (no vIOMMU is involved in the measurements).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 from repro.mem.layout import align_up
 from repro.mem.physical import PhysicalMemory
@@ -78,7 +77,6 @@ class DmaAllocator:
         self.size = size
         self.name = name
         self._next = base
-        self._allocations: List[DmaBuffer] = []
 
     def alloc(self, size: int, alignment: int = 64) -> DmaBuffer:
         """Allocate *size* bytes aligned to *alignment* (cache line by
@@ -93,9 +91,4 @@ class DmaAllocator:
             )
         self._next = addr + size
         buf = DmaBuffer(addr=addr, size=size, memory=self.memory)
-        self._allocations.append(buf)
         return buf
-
-    @property
-    def allocations(self) -> List[DmaBuffer]:
-        return list(self._allocations)

@@ -7,35 +7,33 @@ the rest of the codebase one well-tested way to encode/decode scalar
 fields and to declare packed structures, instead of scattering
 ``int.from_bytes`` calls everywhere.
 
-VirtIO structures are little-endian by spec ("virtio-endian"); network
-headers are big-endian, so both byte orders are provided.
+VirtIO structures are little-endian by spec ("virtio-endian").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 
 # -- scalar accessors ---------------------------------------------------------
 
 
-def read_uint(buf: bytes, offset: int, size: int, *, big_endian: bool = False) -> int:
-    """Read an unsigned integer of *size* bytes at *offset*."""
+def read_uint(buf: bytes, offset: int, size: int) -> int:
+    """Read a little-endian unsigned integer of *size* bytes at *offset*."""
     if offset < 0 or offset + size > len(buf):
         raise IndexError(f"read of {size}B at {offset} outside buffer of {len(buf)}B")
-    return int.from_bytes(buf[offset : offset + size], "big" if big_endian else "little")
+    return int.from_bytes(buf[offset : offset + size], "little")
 
 
-def write_uint(
-    buf: bytearray, offset: int, size: int, value: int, *, big_endian: bool = False
-) -> None:
-    """Write an unsigned integer of *size* bytes at *offset* (range-checked)."""
+def write_uint(buf: bytearray, offset: int, size: int, value: int) -> None:
+    """Write a little-endian unsigned integer of *size* bytes at *offset*
+    (range-checked)."""
     if offset < 0 or offset + size > len(buf):
         raise IndexError(f"write of {size}B at {offset} outside buffer of {len(buf)}B")
     if value < 0 or value >= 1 << (8 * size):
         raise ValueError(f"value {value:#x} does not fit in {size} bytes")
-    buf[offset : offset + size] = value.to_bytes(size, "big" if big_endian else "little")
+    buf[offset : offset + size] = value.to_bytes(size, "little")
 
 
 def read_u8(buf: bytes, offset: int) -> int:
@@ -70,22 +68,6 @@ def write_u64(buf: bytearray, offset: int, value: int) -> None:
     write_uint(buf, offset, 8, value)
 
 
-def read_u16_be(buf: bytes, offset: int) -> int:
-    return read_uint(buf, offset, 2, big_endian=True)
-
-
-def read_u32_be(buf: bytes, offset: int) -> int:
-    return read_uint(buf, offset, 4, big_endian=True)
-
-
-def write_u16_be(buf: bytearray, offset: int, value: int) -> None:
-    write_uint(buf, offset, 2, value, big_endian=True)
-
-
-def write_u32_be(buf: bytearray, offset: int, value: int) -> None:
-    write_uint(buf, offset, 4, value, big_endian=True)
-
-
 # -- declarative packed structs ------------------------------------------------
 
 
@@ -106,10 +88,6 @@ class Field:
     @property
     def end(self) -> int:
         return self.offset + self.size
-
-    @property
-    def mask(self) -> int:
-        return (1 << (8 * self.size)) - 1
 
 
 class StructDef:
@@ -135,10 +113,8 @@ class StructDef:
         fields: List[Tuple[str, int, int]],
         *,
         total_size: int | None = None,
-        big_endian: bool = False,
     ) -> None:
         self.name = name
-        self.big_endian = big_endian
         self.fields: Dict[str, Field] = {}
         for fname, offset, size in fields:
             if fname in self.fields:
@@ -156,70 +132,14 @@ class StructDef:
             if a.end > b.offset:
                 raise ValueError(f"{self.name}: fields {a.name!r} and {b.name!r} overlap")
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.fields
-
-    def __iter__(self) -> Iterator[Field]:
-        return iter(sorted(self.fields.values(), key=lambda f: f.offset))
-
     def offset_of(self, name: str) -> int:
         return self.fields[name].offset
 
     def size_of(self, name: str) -> int:
         return self.fields[name].size
 
-    def field_at(self, offset: int, size: int) -> Field | None:
-        """The field exactly matching an access, or ``None``.
-
-        MMIO models use this to map a register access to a named field;
-        sub-field or straddling accesses return ``None`` and are handled
-        by the caller (typically as byte-granular RAM semantics).
-        """
-        for f in self.fields.values():
-            if f.offset == offset and f.size == size:
-                return f
-        return None
-
-    def field_containing(self, offset: int) -> Field | None:
-        """The field whose byte range contains *offset*, if any."""
-        for f in self.fields.values():
-            if f.offset <= offset < f.end:
-                return f
-        return None
-
-    def read(self, buf: bytes, name: str, base: int = 0) -> int:
-        f = self.fields[name]
-        return read_uint(buf, base + f.offset, f.size, big_endian=self.big_endian)
-
-    def write(self, buf: bytearray, name: str, value: int, base: int = 0) -> None:
-        f = self.fields[name]
-        write_uint(buf, base + f.offset, f.size, value, big_endian=self.big_endian)
-
-    def unpack(self, buf: bytes, base: int = 0) -> Dict[str, int]:
-        """Decode every field into a dict (diagnostics / tests)."""
-        return {f.name: self.read(buf, f.name, base) for f in self}
-
-    def pack(self, values: Dict[str, int]) -> bytearray:
-        """Encode a dict of field values into a fresh buffer; unset
-        fields are zero."""
-        buf = bytearray(self.size)
-        for name, value in values.items():
-            self.write(buf, name, value)
-        return buf
-
     def __repr__(self) -> str:
         return f"<StructDef {self.name} size={self.size} fields={len(self.fields)}>"
-
-
-def hexdump(data: bytes, base: int = 0, width: int = 16) -> str:
-    """Classic hexdump string (debugging aid for simulated memory)."""
-    lines = []
-    for row in range(0, len(data), width):
-        chunk = data[row : row + width]
-        hexpart = " ".join(f"{b:02x}" for b in chunk)
-        asciipart = "".join(chr(b) if 32 <= b < 127 else "." for b in chunk)
-        lines.append(f"{base + row:08x}  {hexpart:<{width * 3}} |{asciipart}|")
-    return "\n".join(lines)
 
 
 def align_up(value: int, alignment: int) -> int:
@@ -227,10 +147,3 @@ def align_up(value: int, alignment: int) -> int:
     if alignment <= 0 or alignment & (alignment - 1):
         raise ValueError(f"alignment must be a power of two, got {alignment}")
     return (value + alignment - 1) & ~(alignment - 1)
-
-
-def is_aligned(value: int, alignment: int) -> bool:
-    """True if *value* is a multiple of power-of-two *alignment*."""
-    if alignment <= 0 or alignment & (alignment - 1):
-        raise ValueError(f"alignment must be a power of two, got {alignment}")
-    return (value & (alignment - 1)) == 0

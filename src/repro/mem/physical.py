@@ -45,28 +45,13 @@ class PhysicalMemory(MemoryRegion):
             if page is None:
                 return _ZERO_PAGE[:length]
             return bytes(page[in_page : in_page + length])
-        out = bytearray(length)
-        self.read_into(offset, out)
-        return bytes(out)
-
-    def read_into(self, offset: int, buf: Buffer) -> None:
-        """Copy ``len(buf)`` bytes at *offset* into caller-owned *buf*."""
-        length = len(buf)
-        self._check(offset, length)
-        out = memoryview(buf)
-        pos = 0
-        addr = offset
-        while pos < length:
-            pfn = addr >> PAGE_SHIFT
-            in_page = addr & (PAGE_SIZE - 1)
-            chunk = min(length - pos, PAGE_SIZE - in_page)
-            page = self._pages.get(pfn)
-            if page is not None:
-                out[pos : pos + chunk] = page[in_page : in_page + chunk]
-            else:
-                out[pos : pos + chunk] = _ZERO_PAGE[:chunk]
-            pos += chunk
-            addr += chunk
+        pieces = []
+        end = offset + length
+        while offset < end:
+            chunk = min(end - offset, PAGE_SIZE - (offset & (PAGE_SIZE - 1)))
+            pieces.append(self.read(offset, chunk))
+            offset += chunk
+        return b"".join(pieces)
 
     def view(self, offset: int, length: int) -> memoryview:
         """Read-only view of *length* bytes at *offset*.
@@ -85,9 +70,7 @@ class PhysicalMemory(MemoryRegion):
             if page is None:
                 return memoryview(_ZERO_PAGE)[:length]
             return memoryview(page).toreadonly()[in_page : in_page + length]
-        out = bytearray(length)
-        self.read_into(offset, out)
-        return memoryview(out).toreadonly()
+        return memoryview(self.read(offset, length))
 
     def write(self, offset: int, data: Buffer) -> None:
         length = len(data)
@@ -108,11 +91,6 @@ class PhysicalMemory(MemoryRegion):
             page[in_page : in_page + chunk] = src[pos : pos + chunk]
             pos += chunk
             addr += chunk
-
-    @property
-    def resident_pages(self) -> int:
-        """Number of materialized pages (memory-usage diagnostics)."""
-        return len(self._pages)
 
     def fill(self, offset: int, length: int, value: int = 0) -> None:
         """Set *length* bytes at *offset* to *value*, page by page in

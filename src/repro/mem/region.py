@@ -35,14 +35,6 @@ class MemoryRegion:
     def write(self, offset: int, data: bytes) -> None:
         raise NotImplementedError
 
-    def view(self, offset: int, length: int) -> memoryview:
-        """Read-only view of *length* bytes at *offset*.
-
-        Zero-copy where the backing store allows it (RAM-like regions);
-        the base implementation wraps a :meth:`read` snapshot.
-        """
-        return memoryview(self.read(offset, length))
-
     def _check(self, offset: int, length: int) -> None:
         if offset < 0 or length < 0 or offset + length > self.size:
             raise MemoryAccessError(
@@ -68,15 +60,6 @@ class RamRegion(MemoryRegion):
     def write(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
         self._data[offset : offset + len(data)] = data
-
-    def view(self, offset: int, length: int) -> memoryview:
-        self._check(offset, length)
-        return memoryview(self._data).toreadonly()[offset : offset + length]
-
-    @property
-    def raw(self) -> bytearray:
-        """Direct view of the backing store (tests / zero-copy internals)."""
-        return self._data
 
 
 ReadHandler = Callable[[int, int], bytes]
@@ -152,15 +135,6 @@ class AddressSpace:
         self._maps.insert(idx, (base, region))
         self._last = None
 
-    def unmap(self, base: int) -> MemoryRegion:
-        """Remove and return the region mapped at exactly *base*."""
-        idx = bisect.bisect_left(self._bases, base)
-        if idx >= len(self._bases) or self._bases[idx] != base:
-            raise KeyError(f"no mapping at {base:#x} in {self.name!r}")
-        self._bases.pop(idx)
-        self._last = None
-        return self._maps.pop(idx)[1]
-
     def resolve(self, addr: int) -> Tuple[MemoryRegion, int]:
         """The region containing *addr* and the offset within it."""
         last = self._last
@@ -196,21 +170,6 @@ class AddressSpace:
                 f"write [{addr:#x},{addr + len(data):#x}) straddles mapping of {region.name!r}"
             )
         region.write(offset, data)
-
-    def view(self, addr: int, length: int) -> memoryview:
-        """Read-only view of *length* bytes at *addr* (zero-copy for
-        RAM-like regions)."""
-        region, offset = self.resolve(addr)
-        if offset + length > region.size:
-            raise MemoryAccessError(
-                f"view [{addr:#x},{addr + length:#x}) straddles mapping of {region.name!r}"
-            )
-        return region.view(offset, length)
-
-    @property
-    def mappings(self) -> List[Tuple[int, MemoryRegion]]:
-        """Sorted list of (base, region)."""
-        return list(self._maps)
 
     def __repr__(self) -> str:
         return f"<AddressSpace {self.name!r} mappings={len(self._maps)}>"

@@ -19,9 +19,9 @@ exactly as a kernel does through the ECAM window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.mem.layout import read_u8, read_u16, write_u8, write_u16
+from repro.mem.layout import read_u16, write_u8, write_u16
 
 CONFIG_SPACE_SIZE = 4096
 
@@ -120,7 +120,6 @@ class ConfigSpace:
         self.generation = 0
         self._next_cap_offset = FIRST_CAPABILITY_OFFSET
         self._last_cap_offset: Optional[int] = None
-        self._capabilities: List[Tuple[int, int]] = []  # (cap_id, offset)
 
     # -- identity -----------------------------------------------------------
 
@@ -155,9 +154,6 @@ class ConfigSpace:
         self._bars[bar.index] = bar
         self._bar_addrs[bar.index] = 0
         self.generation += 1
-
-    def bar_definition(self, index: int) -> Optional[BarDefinition]:
-        return self._bars.get(index)
 
     def bar_address(self, index: int) -> int:
         """The currently programmed base address of a BAR."""
@@ -224,32 +220,7 @@ class ConfigSpace:
             write_u8(self._data, self._last_cap_offset + 1, offset)
         self._last_cap_offset = offset
         self._next_cap_offset = offset + total
-        self._capabilities.append((cap_id, offset))
         return offset
-
-    def walk_capabilities(self) -> List[Tuple[int, int]]:
-        """Walk the capability chain as a driver would: list of
-        (cap_id, offset).  Walks the actual pointers, not the bookkeeping
-        list, so tests catch chain corruption."""
-        out: List[Tuple[int, int]] = []
-        status = read_u16(self._data, STATUS_OFFSET)
-        if not status & STATUS_CAPABILITIES_LIST:
-            return out
-        offset = read_u8(self._data, CAPABILITIES_POINTER_OFFSET)
-        seen = set()
-        while offset:
-            if offset in seen:
-                raise RuntimeError(f"capability chain loop at {offset:#x}")
-            seen.add(offset)
-            cap_id = read_u8(self._data, offset)
-            out.append((cap_id, offset))
-            offset = read_u8(self._data, offset + 1)
-        return out
-
-    def find_capabilities(self, cap_id: int) -> List[int]:
-        """Offsets of every capability with *cap_id* (VirtIO has several
-        vendor-specific entries)."""
-        return [off for cid, off in self.walk_capabilities() if cid == cap_id]
 
     # -- raw access (config TLP handlers) -------------------------------------
 

@@ -77,10 +77,7 @@ class PcieEndpoint(Component):
         self._pending_reads: Dict[int, _PendingRead] = {}
         self.msix: Optional[MsixCapability] = None
         link.attach_endpoint_rx(self._receive)
-        self._stat_dma_read_tlps = 0
-        self._stat_dma_write_tlps = 0
         self._dma_read_event_name = f"{self.path}.dma_read"
-        self._stat_msix_raised = 0
         # Decoded-BAR cache, keyed on the config space's generation
         # counter: (base, end, region) tuples for each programmed BAR,
         # plus the enable bits, so the per-TLP paths skip the
@@ -114,9 +111,6 @@ class PcieEndpoint(Component):
         self.msix = MsixCapability(self.config, table, table_bar=bar_index)
         self.msix.on_refire(self.raise_msix)
         return self.msix
-
-    def bar_region(self, index: int) -> MemoryRegion:
-        return self._bar_regions[index]
 
     # -- downstream TLP handling ----------------------------------------------------
 
@@ -236,7 +230,6 @@ class PcieEndpoint(Component):
         if not self._bus_master:
             raise RuntimeError(f"{self.name!r}: DMA write with bus mastering disabled")
         tlps = segment_write(addr, data, self.link.config.max_payload, requester=self.path)
-        self._stat_dma_write_tlps += len(tlps)
         # Write-combined burst: one delivery event for the whole transfer
         # (fires at the last TLP, which is all callers ever waited on).
         return self.link.upstream.send_many(tlps)
@@ -251,7 +244,6 @@ class PcieEndpoint(Component):
         done = Event(name=self._dma_read_event_name)
         requests = segment_read(addr, length, self.link.config.max_read_request,
                                 requester=self.path)
-        self._stat_dma_read_tlps += len(requests)
         state = _PendingRead(expected=length, event=done, base_addr=addr)
         post = self._post_up
         if post is None:
@@ -296,19 +288,8 @@ class PcieEndpoint(Component):
         if message is None:
             self.trace("msix-suppressed", vector=vector)
             return
-        self._stat_msix_raised += 1
         self.trace("msix-raise", vector=vector, addr=message.address)
         tlp = memory_write(
             message.address, message.data.to_bytes(4, "little"), requester=self.path
         )
         self.link.post_upstream(tlp)
-
-    # -- statistics ------------------------------------------------------------------
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        return {
-            "dma_read_tlps": self._stat_dma_read_tlps,
-            "dma_write_tlps": self._stat_dma_write_tlps,
-            "msix_raised": self._stat_msix_raised,
-        }

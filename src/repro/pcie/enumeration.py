@@ -13,7 +13,7 @@ real non-posted round trip over the link.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
 from repro.mem.layout import align_up
 from repro.pcie.config_space import (
@@ -60,15 +60,6 @@ class DiscoveredFunction:
     device_id: int
     bars: Dict[int, DiscoveredBar] = field(default_factory=dict)
     capabilities: List[DiscoveredCapability] = field(default_factory=list)
-
-    def find_capability(self, cap_id: int) -> Optional[DiscoveredCapability]:
-        for cap in self.capabilities:
-            if cap.cap_id == cap_id:
-                return cap
-        return None
-
-    def find_capabilities(self, cap_id: int) -> List[DiscoveredCapability]:
-        return [cap for cap in self.capabilities if cap.cap_id == cap_id]
 
     def __repr__(self) -> str:
         return (

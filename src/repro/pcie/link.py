@@ -132,8 +132,6 @@ class LinkDirection(Component):
         self.deliver = deliver
         #: When the transmitter finishes clocking out the last queued TLP.
         self._free_at: SimTime = 0
-        self._tlps_sent = 0
-        self._bytes_sent = 0
         # Hot-path caches: the config is frozen, so serialization times
         # are a pure function of wire size (tiny key space: a handful of
         # TLP shapes per run), and the delivery-event name and
@@ -192,8 +190,6 @@ class LinkDirection(Component):
             # now when the TLP queues behind others.
             self.tracer.emit(start, self.path, "tlp-tx",
                              tlp=tlp.kind.value, addr=tlp.addr, bytes=wire)
-        self._tlps_sent += 1
-        self._bytes_sent += wire
         self._free_at = departure = start + tx_time
         # Inlined ``sim.schedule_at``: arrival after propagation -- unless
         # a switch uplink sits in between (store-and-forward: the TLP
@@ -210,14 +206,6 @@ class LinkDirection(Component):
         self.deliver(tlp)
         if delivered is not None:
             delivered.trigger(None)
-
-    @property
-    def tlps_sent(self) -> int:
-        return self._tlps_sent
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._bytes_sent
 
 
 class PcieLink(Component):

@@ -80,10 +80,6 @@ class PcieSwitch(Component):
         self.per_port_tlps.append(0)
         return port
 
-    @property
-    def num_ports(self) -> int:
-        return len(self._ports)
-
     # -- forwarding --------------------------------------------------------------
 
     def forward(

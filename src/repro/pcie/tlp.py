@@ -114,9 +114,8 @@ class Tlp:
 
     def __post_init__(self) -> None:
         # Runs once per TLP -- millions per full-fidelity run -- so the
-        # checks use identity comparisons against the enum members and
-        # the header size is computed inline rather than through the
-        # ``header_bytes`` property.
+        # checks use identity comparisons against the enum members.
+        # 64-bit memory addresses need the 4-DW header format.
         kind = self.kind
         data_len = len(self.data)
         if kind is TlpKind.MEM_WRITE or kind is TlpKind.COMPLETION_DATA or kind is TlpKind.CONFIG_WRITE:
@@ -144,16 +143,6 @@ class Tlp:
     def is_posted(self) -> bool:
         """Posted transactions receive no completion (memory writes)."""
         return self.kind == TlpKind.MEM_WRITE
-
-    @property
-    def header_bytes(self) -> int:
-        """Header size: 64-bit memory addresses need the 4-DW format."""
-        if (
-            self.kind in (TlpKind.MEM_READ, TlpKind.MEM_WRITE)
-            and self.addr + max(self.length, 1) > ADDR_32BIT_LIMIT
-        ):
-            return HEADER_4DW_BYTES
-        return HEADER_3DW_BYTES
 
     @property
     def payload_bytes(self) -> int:

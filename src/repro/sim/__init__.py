@@ -18,7 +18,7 @@ from repro.sim.component import Component
 from repro.sim.event import AnyOf, Event, EventError, Timeout
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Process, ProcessError
-from repro.sim.random import LatencyModel, fixed, jittered, quantize
+from repro.sim.random import LatencyModel
 from repro.sim.resource import Mutex, Resource
 from repro.sim.time import (
     FPGA_FABRIC_CLOCK,
@@ -59,12 +59,9 @@ __all__ = [
     "Timeout",
     "TraceRecord",
     "Tracer",
-    "fixed",
-    "jittered",
     "ms",
     "ns",
     "ps",
-    "quantize",
     "seconds",
     "to_ms",
     "to_ns",

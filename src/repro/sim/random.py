@@ -75,71 +75,6 @@ class LatencyModel:
             value += float(self.tail_scale_ps) * u ** (-1.0 / self.tail_alpha)
         return max(0, round(value))
 
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Vectorized draw of *n* latencies (int64 picoseconds)."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        values = np.full(n, float(self.nominal_ps))
-        if self.jitter_sigma > 0.0:
-            values *= np.exp(rng.normal(0.0, self.jitter_sigma, size=n))
-        if self.tail_prob > 0.0:
-            hits = rng.random(n) < self.tail_prob
-            k = int(hits.sum())
-            if k:
-                u = np.maximum(rng.random(k), 1e-12)
-                values[hits] += float(self.tail_scale_ps) * u ** (-1.0 / self.tail_alpha)
-        return np.maximum(0, np.rint(values)).astype(np.int64)
-
-    def scaled(self, factor: float) -> "LatencyModel":
-        """A copy with nominal and tail scale multiplied by *factor*."""
-        if factor < 0:
-            raise ValueError(f"factor must be >= 0, got {factor}")
-        return LatencyModel(
-            nominal_ps=round(self.nominal_ps * factor),
-            jitter_sigma=self.jitter_sigma,
-            tail_prob=self.tail_prob,
-            tail_scale_ps=round(self.tail_scale_ps * factor),
-            tail_alpha=self.tail_alpha,
-        )
-
     def without_noise(self) -> "LatencyModel":
         """A deterministic copy (nominal only) for noise ablations."""
         return LatencyModel(nominal_ps=self.nominal_ps)
-
-    @property
-    def deterministic(self) -> bool:
-        """True when sampling always returns the nominal value."""
-        return self.jitter_sigma == 0.0 and self.tail_prob == 0.0
-
-
-def fixed(nominal_ps: SimTime) -> LatencyModel:
-    """A deterministic latency of *nominal_ps*."""
-    return LatencyModel(nominal_ps=nominal_ps)
-
-
-def jittered(
-    nominal_ps: SimTime,
-    sigma: float,
-    tail_prob: float = 0.0,
-    tail_scale_ps: SimTime = 0,
-    tail_alpha: float = 2.0,
-) -> LatencyModel:
-    """Convenience constructor mirroring :class:`LatencyModel` fields."""
-    return LatencyModel(
-        nominal_ps=nominal_ps,
-        jitter_sigma=sigma,
-        tail_prob=tail_prob,
-        tail_scale_ps=tail_scale_ps,
-        tail_alpha=tail_alpha,
-    )
-
-
-def quantize(t: SimTime, resolution_ps: SimTime) -> SimTime:
-    """Floor-quantize a duration to a timer resolution.
-
-    Models how a sampled counter reads: the host's CLOCK_MONOTONIC
-    quantizes to 1 ns, the FPGA cycle counters to 8 ns.
-    """
-    if resolution_ps <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution_ps}")
-    return (t // resolution_ps) * resolution_ps

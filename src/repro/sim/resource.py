@@ -34,10 +34,6 @@ class Resource:
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
     def acquire(self) -> Event:
         """Request a slot; the event fires when granted."""
         granted = Event(name=f"{self.name}.acquire")

@@ -4,9 +4,7 @@ from repro.stats.histogram import Histogram
 from repro.stats.percentile import (
     TABLE1_PERCENTILES,
     as_array,
-    percentile_us,
     percentiles_us,
-    tail_ratio,
 )
 from repro.stats.summary import LatencySummary
 
@@ -15,7 +13,5 @@ __all__ = [
     "LatencySummary",
     "TABLE1_PERCENTILES",
     "as_array",
-    "percentile_us",
     "percentiles_us",
-    "tail_ratio",
 ]

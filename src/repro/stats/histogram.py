@@ -39,13 +39,6 @@ class Histogram:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def density(self) -> np.ndarray:
-        """Counts normalized to sum to 1 (empty histogram -> zeros)."""
-        total = self.counts.sum()
-        if total == 0:
-            return np.zeros_like(self.counts, dtype=np.float64)
-        return self.counts / total
-
     def render(self, width: int = 50, height_label: str = "") -> str:
         """ASCII rendering (the terminal stand-in for Fig. 3)."""
         lines = []

@@ -28,12 +28,6 @@ def as_array(samples: Sequence[int] | np.ndarray) -> np.ndarray:
     return arr
 
 
-def percentile_us(samples: Sequence[int] | np.ndarray, q: float) -> float:
-    """The *q*-th percentile of picosecond samples, in microseconds."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile {q} outside [0, 100]")
-    return float(np.percentile(as_array(samples), q)) / 1e6
-
 def percentiles_us(
     samples: Sequence[int] | np.ndarray,
     points: Iterable[float] = TABLE1_PERCENTILES,
@@ -44,12 +38,3 @@ def percentiles_us(
     values = np.percentile(arr, pts)
     return {p: float(v) / 1e6 for p, v in zip(pts, values)}
 
-
-def tail_ratio(samples: Sequence[int] | np.ndarray, q: float = 99.0) -> float:
-    """Tail amplification: P_q / median -- a scale-free variance
-    indicator used by the claims checks."""
-    arr = as_array(samples)
-    median = float(np.percentile(arr, 50.0))
-    if median == 0.0:
-        raise ValueError("median is zero; tail ratio undefined")
-    return float(np.percentile(arr, q)) / median

@@ -48,6 +48,7 @@ from repro.host.netstack.rss import flow_hash
 from repro.stats.fairness import jain_index
 from repro.topology.builder import FleetTestbed, build_from_spec
 from repro.topology.spec import ARBITER_ROUND_ROBIN, TopologySpec
+from repro.virtio.constants import tx_queue_index
 from repro.workload.admission import AdmissionController
 from repro.workload.arrivals import make_arrivals
 from repro.workload.generator import VirtioFlow, note_virtio_hops
@@ -295,8 +296,6 @@ def run_fleet_pod(
     pre-booted *testbed* (same spec, seed, profile) to skip the boot --
     the snapshot layer uses this to stamp cells from a pristine image.
     """
-    from repro.drivers.virtio_net import tx_queue_index
-
     if testbed is None:
         testbed = build_from_spec(config.spec(), seed=seed, profile=profile)
     sim = testbed.sim

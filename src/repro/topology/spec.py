@@ -195,14 +195,6 @@ class TopologySpec:
         return sum(len(device.functions) for device in self.devices)
 
     @property
-    def total_queue_pairs(self) -> int:
-        return sum(
-            function.queue_pairs
-            for device in self.devices
-            for function in device.functions
-        )
-
-    @property
     def is_single_legacy(self) -> bool:
         """Whether this spec names one of the paper's single-endpoint
         machines (one device, one function, one queue pair, no switch),

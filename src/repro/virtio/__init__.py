@@ -17,10 +17,7 @@ from repro.virtio.net_header import (
 )
 from repro.virtio.pci_transport import (
     COMMON_CFG,
-    ParsedVirtioCap,
     VirtioPciLayout,
-    discover_layout,
-    parse_virtio_cap,
     virtio_cap_body,
 )
 from repro.virtio.virtqueue import (
@@ -42,7 +39,6 @@ __all__ = [
     "DriverVirtqueue",
     "FeatureNegotiationError",
     "FeatureSet",
-    "ParsedVirtioCap",
     "UsedElem",
     "VIRTIO_NET_HDR_SIZE",
     "VIRTQ_AVAIL_F_NO_INTERRUPT",
@@ -54,9 +50,7 @@ __all__ = [
     "VirtqueueAddresses",
     "VirtqueueError",
     "constants",
-    "discover_layout",
     "negotiate",
-    "parse_virtio_cap",
     "prepend_header",
     "ring_layout",
     "strip_header",

@@ -99,6 +99,24 @@ VIRTIO_BLK_SECTOR_SIZE = 512
 VIRTIO_CONSOLE_F_SIZE = 0
 VIRTIO_CONSOLE_F_MULTIPORT = 1
 
+# -- virtio-net queue numbering (VirtIO 1.2 section 5.1.2) --------------------------------------
+
+RECEIVEQ = 0
+TRANSMITQ = 1
+CTRLQ = 2
+
+
+def rx_queue_index(pair: int) -> int:
+    """Queue index of pair *pair*'s receiveq (receiveq1 = 0, receiveq2 =
+    2, ... receiveqN = 2(N-1))."""
+    return 2 * pair
+
+
+def tx_queue_index(pair: int) -> int:
+    """Queue index of pair *pair*'s transmitq (transmitqN = 2N-1)."""
+    return 2 * pair + 1
+
+
 # -- virtio-pci capability cfg_type values ------------------------------------------------------------
 
 VIRTIO_PCI_CAP_COMMON_CFG = 1

@@ -13,17 +13,11 @@ from repro.virtio.controller.config_structs import QueueState, VirtioConfigBlock
 from repro.virtio.controller.console import VirtioConsolePersonality
 from repro.virtio.controller.device import VIRTIO_BAR_INDEX, VirtioFpgaDevice
 from repro.virtio.controller.dma_port import ControllerDmaPort
-from repro.virtio.controller.net import (
-    CTRLQ,
-    RECEIVEQ,
-    TRANSMITQ,
-    VirtioNetPersonality,
-)
+from repro.virtio.controller.net import VirtioNetPersonality
 from repro.virtio.controller.personality import DevicePersonality
 from repro.virtio.controller.queue_engine import DeviceQueueEngine, FetchedChain, QueueRole
 
 __all__ = [
-    "CTRLQ",
     "ControllerDmaPort",
     "DevicePersonality",
     "DeviceQueueEngine",
@@ -31,8 +25,6 @@ __all__ = [
     "HostBypassPort",
     "QueueRole",
     "QueueState",
-    "RECEIVEQ",
-    "TRANSMITQ",
     "VIRTIO_BAR_INDEX",
     "VirtioBlockPersonality",
     "VirtioConfigBlock",

@@ -16,11 +16,11 @@ involvement.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.component import Component
 from repro.sim.event import Event
-from repro.virtio.controller.dma_port import STAGING_SLOT_SIZE, ControllerDmaPort
+from repro.virtio.controller.dma_port import ControllerDmaPort
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -56,24 +56,6 @@ class HostBypassPort(Component):
         self.bytes_written += len(data)
         self.trace("bypass-write", addr=host_addr, length=len(data))
         return self.dma_port.host_write(host_addr, data)
-
-    def read_large(self, host_addr: int, length: int) -> Generator[Any, Any, bytes]:
-        """Read a region larger than one staging slot (``yield from``)."""
-        parts = []
-        offset = 0
-        while offset < length:
-            chunk = min(STAGING_SLOT_SIZE, length - offset)
-            parts.append((yield self.read(host_addr + offset, chunk)))
-            offset += chunk
-        return b"".join(parts)
-
-    def write_large(self, host_addr: int, data: bytes) -> Generator[Any, Any, None]:
-        """Write a region larger than one staging slot (``yield from``)."""
-        offset = 0
-        while offset < len(data):
-            chunk = data[offset : offset + STAGING_SLOT_SIZE]
-            yield self.write(host_addr + offset, chunk)
-            offset += len(chunk)
 
     @property
     def stats(self) -> dict:

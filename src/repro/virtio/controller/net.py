@@ -44,6 +44,7 @@ from repro.virtio.constants import (
     VIRTIO_NET_F_MTU,
     VIRTIO_NET_F_STATUS,
     VIRTIO_NET_S_LINK_UP,
+    rx_queue_index,
 )
 from repro.virtio.controller.personality import DevicePersonality
 from repro.virtio.controller.queue_engine import FetchedChain, QueueRole
@@ -54,21 +55,6 @@ from repro.virtio.net_header import (
     prepend_header,
     strip_header,
 )
-
-RECEIVEQ = 0
-TRANSMITQ = 1
-CTRLQ = 2
-
-
-def rx_queue_index(pair: int) -> int:
-    """Queue index of pair *pair*'s receiveq (5.1.2: receiveq1 = 0,
-    receiveq2 = 2, ... receiveqN = 2(N-1))."""
-    return 2 * pair
-
-
-def tx_queue_index(pair: int) -> int:
-    """Queue index of pair *pair*'s transmitq (transmitqN = 2N-1)."""
-    return 2 * pair + 1
 
 #: PCI class: network / ethernet controller.
 NET_CLASS_CODE = 0x020000

@@ -399,7 +399,3 @@ class DeviceQueueEngine(Component):
         if self.queue.msix_vector != VIRTIO_MSI_NO_VECTOR:
             self.interrupts_raised += 1
             self.device.raise_queue_irq(self.queue.index)
-
-    @property
-    def free_chain_count(self) -> int:
-        return len(self._free_chains)

@@ -10,7 +10,7 @@ mapped to one of the base address registers".
 
 This module defines:
 
-* the capability body codec (:func:`virtio_cap_body`, :func:`parse_virtio_cap`),
+* the capability body encoder (:func:`virtio_cap_body`),
 * the ``virtio_pci_common_cfg`` layout (:data:`COMMON_CFG`),
 * :class:`VirtioPciLayout` -- where each structure sits inside the
   device's BAR, shared by the FPGA controller (which implements them)
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.mem.layout import StructDef, read_u8, read_u32
+from repro.mem.layout import StructDef
 from repro.pcie.config_space import CAP_ID_VENDOR_SPECIFIC, ConfigSpace
 from repro.virtio.constants import (
     VIRTIO_PCI_CAP_COMMON_CFG,
@@ -94,33 +94,6 @@ def virtio_cap_body(
 
 
 @dataclass(frozen=True)
-class ParsedVirtioCap:
-    """A virtio vendor-specific capability as the driver reads it."""
-
-    cfg_type: int
-    bar: int
-    offset: int
-    length: int
-    notify_off_multiplier: int = 0
-
-
-def parse_virtio_cap(config: ConfigSpace, cap_offset: int) -> ParsedVirtioCap:
-    """Decode the capability at *cap_offset* from raw config bytes."""
-    raw = config.read(cap_offset, VIRTIO_NOTIFY_CAP_TOTAL_SIZE)
-    cfg_type = read_u8(raw, 3)
-    bar = read_u8(raw, 4)
-    offset = read_u32(raw, 8)
-    length = read_u32(raw, 12)
-    multiplier = 0
-    if cfg_type == VIRTIO_PCI_CAP_NOTIFY_CFG:
-        multiplier = read_u32(raw, 16)
-    return ParsedVirtioCap(
-        cfg_type=cfg_type, bar=bar, offset=offset, length=length,
-        notify_off_multiplier=multiplier,
-    )
-
-
-@dataclass(frozen=True)
 class VirtioPciLayout:
     """Placement of the four structures inside the VirtIO BAR.
 
@@ -180,14 +153,3 @@ class VirtioPciLayout:
                             self.device_length),
         )
         return placed
-
-
-def discover_layout(config: ConfigSpace) -> Dict[int, ParsedVirtioCap]:
-    """Driver-side discovery: walk the capability list and collect the
-    VirtIO structures by cfg_type (first instance wins, per spec)."""
-    found: Dict[int, ParsedVirtioCap] = {}
-    for offset in config.find_capabilities(CAP_ID_VENDOR_SPECIFIC):
-        cap = parse_virtio_cap(config, offset)
-        if cap.cfg_type not in found:
-            found[cap.cfg_type] = cap
-    return found

@@ -127,10 +127,6 @@ class VirtqueueAddresses:
     def avail_flags_addr(self) -> int:
         return self.avail_ring
 
-    @property
-    def avail_idx_addr(self) -> int:
-        return self.avail_ring + 2
-
     def avail_entry_addr(self, slot: int) -> int:
         return self.avail_ring + AVAIL_HEADER_SIZE + AVAIL_ENTRY_SIZE * (slot % self.size)
 

@@ -41,7 +41,6 @@ from repro.workload.sizes import (
     EmpiricalMix,
     FixedSize,
     SizeDistribution,
-    UniformSize,
     make_sizes,
 )
 from repro.workload.sweep import (
@@ -65,7 +64,6 @@ __all__ = [
     "RunMetrics",
     "RunRecorder",
     "SizeDistribution",
-    "UniformSize",
     "WorkloadError",
     "make_arrivals",
     "make_sizes",

@@ -34,20 +34,8 @@ def _check_size(size: int) -> int:
 
 
 class SizeDistribution:
-    """Base class: a stream of payload sizes in bytes."""
-
-    def sample(self, rng: np.random.Generator) -> int:
-        raise NotImplementedError
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Vectorized draw of *n* sizes (int64 bytes)."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        return np.array([self.sample(rng) for _ in range(n)], dtype=np.int64)
-
-    @property
-    def mean_bytes(self) -> float:
-        raise NotImplementedError
+    """Base class: a stream of payload sizes in bytes, drawn by
+    ``sample_many(rng, n)`` as an int64 array of *n* sizes."""
 
 
 @dataclass(frozen=True)
@@ -59,43 +47,10 @@ class FixedSize(SizeDistribution):
     def __post_init__(self) -> None:
         _check_size(self.size)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return self.size
-
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         return np.full(n, self.size, dtype=np.int64)
-
-    @property
-    def mean_bytes(self) -> float:
-        return float(self.size)
-
-
-@dataclass(frozen=True)
-class UniformSize(SizeDistribution):
-    """Uniform over ``[lo, hi]`` inclusive."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        _check_size(self.lo)
-        _check_size(self.hi)
-        if self.lo > self.hi:
-            raise ValueError(f"lo {self.lo} > hi {self.hi}")
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.lo, self.hi + 1))
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        return rng.integers(self.lo, self.hi + 1, size=n, dtype=np.int64)
-
-    @property
-    def mean_bytes(self) -> float:
-        return (self.lo + self.hi) / 2.0
 
 
 @dataclass(frozen=True)
@@ -128,19 +83,12 @@ class EmpiricalMix(SizeDistribution):
         total = float(sum(self.weights))
         return np.asarray(self.weights, dtype=np.float64) / total
 
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(np.asarray(self.sizes), p=self._probabilities()))
-
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         return rng.choice(
             np.asarray(self.sizes, dtype=np.int64), size=n, p=self._probabilities()
         )
-
-    @property
-    def mean_bytes(self) -> float:
-        return float(np.dot(np.asarray(self.sizes), self._probabilities()))
 
 
 def make_sizes(payloads: Sequence[int]) -> SizeDistribution:

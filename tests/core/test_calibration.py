@@ -13,6 +13,7 @@ from repro.core.calibration import (
     CalibrationProfile,
     xdma_transfer_size,
 )
+from repro.sim.random import LatencyModel
 
 
 class TestPaperConstants:
@@ -50,7 +51,9 @@ class TestProfileVariants:
         profile = PAPER_PROFILE.without_noise()
         model = profile.build_cost_model()
         assert model.interference.rate_hz == 0.0
-        assert model.segment("task_wakeup").deterministic
+        assert model.segments["task_wakeup"] == LatencyModel(
+            nominal_ps=model.segments["task_wakeup"].nominal_ps
+        )
 
     def test_with_link(self):
         profile = PAPER_PROFILE.with_link(3, 8)
@@ -68,12 +71,3 @@ class TestProfileVariants:
     def test_profiles_are_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             PAPER_PROFILE.noise_enabled = False
-
-    def test_host_speed_scaling(self):
-        fast = dataclasses.replace(PAPER_PROFILE, host_speed_factor=0.5)
-        slow_model = PAPER_PROFILE.build_cost_model()
-        fast_model = fast.build_cost_model()
-        assert (
-            fast_model.segment("task_wakeup").nominal_ps
-            < slow_model.segment("task_wakeup").nominal_ps
-        )

@@ -74,7 +74,7 @@ class TestTriggers:
         sim = Simulator(seed=1)
         injector = FaultInjector(FaultPlan((spec(trigger=NthEvent(3)),)), sim)
         assert self.fire_n(injector, 6) == [False, False, True, False, False, False]
-        assert injector.total_injected == 1
+        assert sum(injector.injected.values()) == 1
 
     def test_every_nth_fires_at_multiples(self):
         sim = Simulator(seed=1)

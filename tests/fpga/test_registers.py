@@ -49,7 +49,7 @@ class TestRegisterFile:
         rf = RegisterFile(0x100)
         rf.reg("a", 0x10, reset=0x11223344)
         rf.mmio_write(0x12, b"\xff")  # byte 2
-        assert rf[0x10].read() == 0x11FF3344
+        assert rf.mmio_read(0x10, 4) == (0x11FF3344).to_bytes(4, "little")
 
     def test_sub_word_write_fires_hook_with_merged_word(self):
         seen = []

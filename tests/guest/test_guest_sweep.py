@@ -107,15 +107,15 @@ class TestRunGuestSweep:
             for o in run_cells(latency_cells((64,), packets=10, seed=7), jobs=1)
         }
         for driver in ("virtio", "xdma"):
-            guest_result = report.column(driver, "bare").sweep[64]
+            guest_result = report.results[driver]["bare"].sweep[64]
             plain_result = plain[(driver, 64)]
             assert (guest_result.rtt_ps == plain_result.rtt_ps).all()
             assert (guest_result.hw_ps == plain_result.hw_ps).all()
 
     def test_trap_column(self):
         report = run_guest_sweep(**FAST, modes=("bare", "trapped"))
-        bare = report.column("virtio", "bare")
-        trapped = report.column("virtio", "trapped")
+        bare = report.results["virtio"]["bare"]
+        trapped = report.results["virtio"]["trapped"]
         assert bare.sweep[64].trap_ps is None
         assert bare.breakdown_rows()[0]["trap_mean_us"] == 0.0
         assert (trapped.sweep[64].trap_ps > 0).all()

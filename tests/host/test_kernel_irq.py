@@ -49,7 +49,7 @@ class TestBlockOn(object):
     def test_wakeup_cost_charged(self, kernel, sim, run):
         kernel.costs = kernel.costs.without_noise()
         ev = sim.event()
-        wake_cost = kernel.costs.segment("task_wakeup").nominal_ps
+        wake_cost = kernel.costs.segments["task_wakeup"].nominal_ps
 
         def body():
             value = yield from kernel.block_on(ev)
@@ -114,7 +114,7 @@ class TestInterruptController:
 
         kernel.irqc.raise_softirq(body())
         sim.run()
-        cost = kernel.costs.segment("softirq_schedule").nominal_ps
+        cost = kernel.costs.segments["softirq_schedule"].nominal_ps
         assert marks[0] >= cost
 
     def test_unregister(self, kernel, sim):

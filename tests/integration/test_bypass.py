@@ -34,26 +34,6 @@ class TestBypassPort:
         run(testbed.sim, logic())
         assert testbed.kernel.memory.read(0x0300_0000, 16) == b"flow state spill"
 
-    def test_large_transfer_chunked(self, testbed, bypass, run):
-        data = bytes(i & 0xFF for i in range(3 * STAGING_SLOT_SIZE + 17))
-        testbed.kernel.memory.write(0x0400_0000, data)
-
-        def logic():
-            out = yield from bypass.read_large(0x0400_0000, len(data))
-            return out
-
-        assert run(testbed.sim, logic()) == data
-        assert bypass.reads == 4
-
-    def test_write_large(self, testbed, bypass, run):
-        data = bytes(i & 0xFF for i in range(2 * STAGING_SLOT_SIZE))
-
-        def logic():
-            yield from bypass.write_large(0x0500_0000, data)
-
-        run(testbed.sim, logic())
-        assert testbed.kernel.memory.read(0x0500_0000, len(data)) == data
-
     def test_independent_of_virtqueue_traffic(self, testbed, bypass):
         """Bypass transfers proceed while the echo data path runs --
         offloading 'independently of the VirtIO drivers'."""

@@ -84,7 +84,7 @@ class TestControlQueue:
 
     def test_promiscuous_command(self, testbed):
         def app():
-            ack = yield from testbed.driver.set_promiscuous(True)
+            ack = yield from testbed.driver.send_ctrl_command(0, 0, b"\x01")  # RX / PROMISC on
             return ack
 
         process = testbed.sim.spawn(app())

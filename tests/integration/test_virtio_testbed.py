@@ -51,7 +51,7 @@ class TestBoot:
         assert set(testbed.device.engines) == {0, 1}
 
     def test_rx_buffers_posted(self, testbed):
-        assert len(testbed.driver._rx_buffers) == 64
+        assert [len(pool) for pool in testbed.driver._rx_pools] == [64]
 
 
 class TestEchoDatapath:
@@ -95,9 +95,9 @@ class TestEchoDatapath:
         perf.clear()
         for _ in range(5):
             echo_once(testbed, b"y" * 64)
-        assert perf.count("virtio_h2c") == 5
-        assert perf.count("virtio_c2h") == 5
-        assert perf.count("virtio_resp") == 5
+        assert len(perf.intervals_array("virtio_h2c")) == 5
+        assert len(perf.intervals_array("virtio_c2h")) == 5
+        assert len(perf.intervals_array("virtio_resp")) == 5
 
     def test_hardware_time_nonzero_and_bounded(self, testbed):
         perf = testbed.perf
@@ -111,7 +111,7 @@ class TestEchoDatapath:
     def test_rx_buffers_recycled(self, testbed):
         for _ in range(10):
             echo_once(testbed, b"r" * 64)
-        assert len(testbed.driver._rx_buffers) == 64
+        assert [len(pool) for pool in testbed.driver._rx_pools] == [64]
 
 
 class TestDeterminism:

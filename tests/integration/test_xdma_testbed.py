@@ -54,8 +54,8 @@ class TestDataPath:
         perf = testbed.perf
         perf.clear()
         write_read(testbed, b"x" * 128)
-        assert perf.count("h2c0_dma") == 1
-        assert perf.count("c2h0_dma") == 1
+        assert len(perf.intervals_array("h2c0_dma")) == 1
+        assert len(perf.intervals_array("c2h0_dma")) == 1
 
     def test_descriptor_fetched_from_host_per_transfer(self, testbed):
         """The SGDMA engine fetches each descriptor over PCIe -- the

@@ -5,17 +5,11 @@ import pytest
 from repro.mem.layout import (
     StructDef,
     align_up,
-    hexdump,
-    is_aligned,
     read_u8,
-    read_u16,
-    read_u16_be,
     read_u32,
-    read_u32_be,
     read_u64,
     write_u8,
     write_u16,
-    write_u16_be,
     write_u32,
     write_u64,
 )
@@ -32,13 +26,6 @@ class TestScalars:
         buf = bytearray(8)
         write_u64(buf, 0, 0x0123456789ABCDEF)
         assert read_u64(buf, 0) == 0x0123456789ABCDEF
-
-    def test_big_endian(self):
-        buf = bytearray(4)
-        write_u16_be(buf, 0, 0x0800)
-        assert buf[0] == 0x08 and buf[1] == 0x00
-        assert read_u16_be(buf, 0) == 0x0800
-        assert read_u32_be(b"\x01\x02\x03\x04", 0) == 0x01020304
 
     def test_out_of_range_value_rejected(self):
         buf = bytearray(4)
@@ -70,30 +57,6 @@ class TestStructDef:
         assert s.offset_of("d") == 8
         assert s.size_of("b") == 2
 
-    def test_pack_unpack_roundtrip(self):
-        s = self.make()
-        values = {"a": 1, "b": 2, "c": 3, "d": 4}
-        buf = s.pack(values)
-        assert s.unpack(bytes(buf)) == values
-
-    def test_read_write_with_base(self):
-        s = self.make()
-        buf = bytearray(32)
-        s.write(buf, "b", 0xBEEF, base=16)
-        assert s.read(buf, "b", base=16) == 0xBEEF
-        assert s.read(buf, "b", base=0) == 0
-
-    def test_field_at_exact_match(self):
-        s = self.make()
-        assert s.field_at(4, 2).name == "b"
-        assert s.field_at(4, 4) is None
-        assert s.field_at(5, 1) is None
-
-    def test_field_containing(self):
-        s = self.make()
-        assert s.field_containing(10).name == "d"
-        assert s.field_containing(100) is None
-
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             StructDef("bad", [("a", 0, 4), ("b", 2, 4)])
@@ -106,10 +69,6 @@ class TestStructDef:
         with pytest.raises(ValueError):
             StructDef("bad", [("a", 0, 8)], total_size=4)
 
-    def test_iteration_in_offset_order(self):
-        s = StructDef("s", [("late", 8, 4), ("early", 0, 4)])
-        assert [f.name for f in s] == ["early", "late"]
-
 
 class TestAlignment:
     def test_align_up(self):
@@ -118,20 +77,8 @@ class TestAlignment:
         assert align_up(8, 8) == 8
         assert align_up(4097, 4096) == 8192
 
-    def test_is_aligned(self):
-        assert is_aligned(64, 64)
-        assert not is_aligned(65, 64)
-
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             align_up(1, 3)
         with pytest.raises(ValueError):
-            is_aligned(1, 0)
-
-
-class TestHexdump:
-    def test_contains_hex_and_ascii(self):
-        out = hexdump(b"Hello, world!!!!", base=0x1000)
-        assert "00001000" in out
-        assert "48 65 6c 6c" in out
-        assert "|Hello, world!!!!|" in out
+            align_up(1, 0)

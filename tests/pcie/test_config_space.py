@@ -12,10 +12,25 @@ from repro.pcie.config_space import (
     BarDefinition,
     ConfigSpace,
 )
+from repro.pcie.device import PcieEndpoint
+from repro.pcie.enumeration import enumerate_all
+from repro.pcie.root_complex import RootComplex
+from repro.sim.kernel import Simulator
 
 
 def make_config():
     return ConfigSpace(vendor_id=0x1AF4, device_id=0x1041, class_code=0x020000)
+
+
+def walked_capabilities(config):
+    """(cap_id, offset) of each capability, as enumeration walks the
+    chain's pointers with config reads over the link."""
+    sim = Simulator(seed=0)
+    rc = RootComplex(sim)
+    _, link = rc.create_port()
+    PcieEndpoint(sim, link, config, name="ep")
+    function = sim.run_until_triggered(sim.spawn(enumerate_all(rc)))[0]
+    return [(cap.cap_id, cap.offset) for cap in function.capabilities]
 
 
 class TestIdentity:
@@ -102,19 +117,20 @@ class TestCapabilities:
         config = make_config()
         off1 = config.add_capability(CAP_ID_MSIX, bytes(10))
         off2 = config.add_capability(CAP_ID_VENDOR_SPECIFIC, bytes(14))
-        walked = config.walk_capabilities()
+        walked = walked_capabilities(config)
         assert walked == [(CAP_ID_MSIX, off1), (CAP_ID_VENDOR_SPECIFIC, off2)]
 
     def test_status_bit_set(self):
+        assert walked_capabilities(make_config()) == []
         config = make_config()
-        assert config.walk_capabilities() == []
         config.add_capability(CAP_ID_MSIX, bytes(10))
-        assert len(config.walk_capabilities()) == 1
+        assert len(walked_capabilities(config)) == 1
 
     def test_find_multiple_of_same_id(self):
         config = make_config()
         offsets = [config.add_capability(CAP_ID_VENDOR_SPECIFIC, bytes(14)) for _ in range(4)]
-        assert config.find_capabilities(CAP_ID_VENDOR_SPECIFIC) == offsets
+        walked = walked_capabilities(config)
+        assert [off for cap_id, off in walked if cap_id == CAP_ID_VENDOR_SPECIFIC] == offsets
 
     def test_offsets_dword_aligned(self):
         config = make_config()

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.mem.region import RamRegion
+from repro.pcie import device as device_module
 from repro.pcie.config_space import ConfigSpace
 from repro.pcie.device import PcieEndpoint
 from repro.pcie.enumeration import enumerate_all
 from repro.pcie.link import LinkConfig
 from repro.pcie.msi import MSI_ADDRESS_BASE, MSIX_ENTRY_SIZE
 from repro.pcie.root_complex import MMIO_WINDOW_BASE, RootComplex
+from repro.pcie.tlp import segment_read
 from repro.sim.kernel import Simulator
 
 
@@ -109,17 +111,25 @@ class TestDeviceDma:
         run(sim, body())
         assert rc.host_memory.read(0xA000, 300) == b"Z" * 300
 
-    def test_large_dma_read_segmented(self, system, run):
+    def test_large_dma_read_segmented(self, system, run, monkeypatch):
         sim, rc, endpoint = system["sim"], system["rc"], system["endpoint"]
         data = bytes(i & 0xFF for i in range(2048))
         rc.host_memory.write(0x4000, data)
+        requests = []
+
+        def counted(*args, **kwargs):
+            built = segment_read(*args, **kwargs)
+            requests.extend(built)
+            return built
+
+        monkeypatch.setattr(device_module, "segment_read", counted)
 
         def body():
             out = yield endpoint.dma_read(0x4000, 2048)
             return out
 
         assert run(sim, body()) == data
-        assert endpoint.stats["dma_read_tlps"] == 4  # 2048 / MRRS 512
+        assert len(requests) == 4  # 2048 / MRRS 512
 
     def test_dma_ordering_write_before_msix(self, system, run):
         """An MSI-X raised after a DMA write must arrive after the data

@@ -126,13 +126,6 @@ class TestLinkTransmission:
         with pytest.raises(RuntimeError):
             link.post_upstream(memory_write(0, b"x"))
 
-    def test_statistics(self, sim):
-        link, _ = self.make(sim)
-        link.post_downstream(memory_write(0, b"x" * 10))
-        sim.run()
-        assert link.downstream.tlps_sent == 1
-        assert link.downstream.bytes_sent > 10
-
 
 #: One enqueue call: (method, instant, payload sizes).  The instant is
 #: "same" (the previous call's instant), "departure" (exactly when the

@@ -75,7 +75,9 @@ class TestMsixCapability:
         config = ConfigSpace(vendor_id=1, device_id=2)
         table = MsixTable(8)
         cap = MsixCapability(config, table, table_bar=2)
-        assert config.find_capabilities(0x11) == [cap.cap_offset]
+        # The chain (pointer at 0x34) holds exactly this capability.
+        assert config.read(0x34, 1)[0] == cap.cap_offset
+        assert config.read(cap.cap_offset, 2) == bytes([0x11, 0])
 
     def test_enable_via_config_write(self):
         config = ConfigSpace(vendor_id=1, device_id=2)

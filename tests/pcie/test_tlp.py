@@ -32,8 +32,8 @@ class TestTlpBasics:
     def test_64bit_address_uses_4dw_header(self):
         low = memory_write(0xFFFF_0000, b"x")
         high = memory_write(0x1_0000_0000, b"x")
-        assert low.header_bytes == HEADER_3DW_BYTES
-        assert high.header_bytes == HEADER_4DW_BYTES
+        assert low.wire_bytes == DLL_OVERHEAD_BYTES + HEADER_3DW_BYTES + 1
+        assert high.wire_bytes == DLL_OVERHEAD_BYTES + HEADER_4DW_BYTES + 1
 
     def test_write_is_posted(self):
         assert memory_write(0, b"x").is_posted

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.random import LatencyModel, fixed, jittered, quantize
+from repro.sim.random import LatencyModel
 from repro.sim.time import ns, us
 
 
@@ -15,46 +15,31 @@ def rng():
 
 class TestLatencyModel:
     def test_fixed_is_deterministic(self, rng):
-        model = fixed(ns(100))
-        assert model.deterministic
+        model = LatencyModel(nominal_ps=ns(100))
         assert all(model.sample(rng) == ns(100) for _ in range(10))
 
     def test_jitter_keeps_median_near_nominal(self, rng):
-        model = jittered(us(10), sigma=0.1)
-        samples = model.sample_many(rng, 20_000)
+        model = LatencyModel(nominal_ps=us(10), jitter_sigma=0.1)
+        samples = [model.sample(rng) for _ in range(20_000)]
         median = np.median(samples)
         assert abs(median - us(10)) / us(10) < 0.02
 
     def test_tail_raises_high_percentiles(self, rng):
-        base = jittered(us(10), sigma=0.05)
-        tailed = jittered(us(10), sigma=0.05, tail_prob=0.05, tail_scale_ps=us(50))
-        p999_base = np.percentile(base.sample_many(rng, 20_000), 99.9)
-        p999_tail = np.percentile(tailed.sample_many(rng, 20_000), 99.9)
+        base = LatencyModel(nominal_ps=us(10), jitter_sigma=0.05)
+        tailed = LatencyModel(nominal_ps=us(10), jitter_sigma=0.05, tail_prob=0.05,
+                              tail_scale_ps=us(50))
+        p999_base = np.percentile([base.sample(rng) for _ in range(20_000)], 99.9)
+        p999_tail = np.percentile([tailed.sample(rng) for _ in range(20_000)], 99.9)
         assert p999_tail > p999_base * 2
 
-    def test_sample_many_matches_distribution_of_sample(self, rng):
-        model = jittered(us(5), sigma=0.2)
-        many = model.sample_many(rng, 5_000)
-        loop = np.array([model.sample(rng) for _ in range(5_000)])
-        # Same distribution family: compare means within a few percent.
-        assert abs(many.mean() - loop.mean()) / loop.mean() < 0.05
-
     def test_samples_never_negative(self, rng):
-        model = jittered(ns(1), sigma=3.0)
-        assert (model.sample_many(rng, 1_000) >= 0).all()
-
-    def test_scaled(self):
-        model = jittered(us(10), sigma=0.1, tail_prob=0.01, tail_scale_ps=us(20))
-        scaled = model.scaled(2.0)
-        assert scaled.nominal_ps == us(20)
-        assert scaled.tail_scale_ps == us(40)
-        assert scaled.jitter_sigma == model.jitter_sigma
+        model = LatencyModel(nominal_ps=ns(1), jitter_sigma=3.0)
+        assert all(model.sample(rng) >= 0 for _ in range(1_000))
 
     def test_without_noise(self):
-        model = jittered(us(10), sigma=0.5, tail_prob=0.5, tail_scale_ps=us(99))
-        clean = model.without_noise()
-        assert clean.deterministic
-        assert clean.nominal_ps == us(10)
+        model = LatencyModel(nominal_ps=us(10), jitter_sigma=0.5, tail_prob=0.5,
+                             tail_scale_ps=us(99))
+        assert model.without_noise() == LatencyModel(nominal_ps=us(10))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -65,18 +50,3 @@ class TestLatencyModel:
             LatencyModel(nominal_ps=1, tail_prob=1.5)
         with pytest.raises(ValueError):
             LatencyModel(nominal_ps=1, tail_alpha=0)
-
-    def test_sample_many_negative_n(self, rng):
-        with pytest.raises(ValueError):
-            fixed(1).sample_many(rng, -1)
-
-
-class TestQuantize:
-    def test_floors_to_resolution(self):
-        assert quantize(ns(15), ns(8)) == ns(8)
-        assert quantize(ns(16), ns(8)) == ns(16)
-        assert quantize(ns(7), ns(8)) == 0
-
-    def test_invalid_resolution(self):
-        with pytest.raises(ValueError):
-            quantize(100, 0)

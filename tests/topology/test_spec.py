@@ -102,7 +102,7 @@ class TestTopologySpec:
             )
         )
         assert spec.total_functions == 3
-        assert spec.total_queue_pairs == 7
+        assert sum(f.queue_pairs for d in spec.devices for f in d.functions) == 7
 
 
 class TestFleetPod:
@@ -113,7 +113,7 @@ class TestFleetPod:
         assert not spec.devices[0].is_sriov
         assert spec.devices[1].is_sriov
         assert spec.total_functions == 3
-        assert spec.total_queue_pairs == 6
+        assert sum(f.queue_pairs for d in spec.devices for f in d.functions) == 6
 
     def test_weighted_pod(self):
         spec = TopologySpec.fleet_pod(

@@ -39,7 +39,7 @@ class TestSwitch:
         echo_all(testbed)
         switch = testbed.switch
         assert switch is not None
-        assert switch.num_ports == 2
+        assert len(switch._ports) == 2
         stats = switch.stats
         assert stats["tlps_forwarded"] > 0
         assert stats["port0_tlps"] > 0

@@ -2,20 +2,53 @@
 
 import pytest
 
+from repro.drivers.virtio_pci import VirtioPciTransport
+from repro.fpga.user_logic import EchoUserLogic
 from repro.pcie.config_space import CAP_ID_VENDOR_SPECIFIC, ConfigSpace
+from repro.pcie.enumeration import enumerate_all
+from repro.pcie.root_complex import RootComplex
 from repro.virtio.constants import (
     VIRTIO_PCI_CAP_COMMON_CFG,
     VIRTIO_PCI_CAP_DEVICE_CFG,
     VIRTIO_PCI_CAP_ISR_CFG,
     VIRTIO_PCI_CAP_NOTIFY_CFG,
 )
+from repro.virtio.controller.device import VIRTIO_BAR_INDEX, VirtioFpgaDevice
+from repro.virtio.controller.net import VirtioNetPersonality
 from repro.virtio.pci_transport import (
     COMMON_CFG,
     VirtioPciLayout,
-    discover_layout,
-    parse_virtio_cap,
     virtio_cap_body,
 )
+
+
+def cap_fields(config, cap_offset):
+    """struct virtio_pci_cap (VirtIO 1.2 section 4.1.4) as read from
+    config space: cfg_type, bar, offset, length, and the notify
+    capability's notify_off_multiplier."""
+    raw = config.read(cap_offset, 20)
+    return (
+        raw[3],
+        raw[4],
+        int.from_bytes(raw[8:12], "little"),
+        int.from_bytes(raw[12:16], "little"),
+        int.from_bytes(raw[16:20], "little"),
+    )
+
+
+def discover(sim, extra_caps=()):
+    """Enumerate a VirtIO FPGA device (with *extra_caps* appended to its
+    capability list) and run the driver's capability discovery; returns
+    (device, function, transport)."""
+    rc = RootComplex(sim)
+    _, link = rc.create_port()
+    device = VirtioFpgaDevice(sim, link, VirtioNetPersonality(EchoUserLogic(sim)))
+    for body in extra_caps:
+        device.xdma.endpoint.config.add_capability(CAP_ID_VENDOR_SPECIFIC, body)
+    function = sim.run_until_triggered(sim.spawn(enumerate_all(rc)))[0]
+    transport = VirtioPciTransport(kernel=None, function=function)
+    sim.run_until_triggered(sim.spawn(transport.discover()))
+    return device, function, transport
 
 
 class TestCommonCfgLayout:
@@ -55,11 +88,11 @@ class TestCapabilityCodec:
         config = ConfigSpace(vendor_id=0x1AF4, device_id=0x1041)
         body = virtio_cap_body(VIRTIO_PCI_CAP_COMMON_CFG, bar=3, offset=0x0, length=0x38)
         cap_offset = config.add_capability(CAP_ID_VENDOR_SPECIFIC, body)
-        parsed = parse_virtio_cap(config, cap_offset)
-        assert parsed.cfg_type == VIRTIO_PCI_CAP_COMMON_CFG
-        assert parsed.bar == 3
-        assert parsed.offset == 0
-        assert parsed.length == 0x38
+        cfg_type, bar, offset, length, _ = cap_fields(config, cap_offset)
+        assert cfg_type == VIRTIO_PCI_CAP_COMMON_CFG
+        assert bar == 3
+        assert offset == 0
+        assert length == 0x38
 
     def test_notify_carries_multiplier(self):
         config = ConfigSpace(vendor_id=0x1AF4, device_id=0x1041)
@@ -68,8 +101,7 @@ class TestCapabilityCodec:
             notify_off_multiplier=4,
         )
         cap_offset = config.add_capability(CAP_ID_VENDOR_SPECIFIC, body)
-        parsed = parse_virtio_cap(config, cap_offset)
-        assert parsed.notify_off_multiplier == 4
+        assert cap_fields(config, cap_offset)[4] == 4
 
     def test_notify_requires_multiplier(self):
         with pytest.raises(ValueError):
@@ -86,18 +118,18 @@ class TestCapabilityCodec:
 
 
 class TestLayout:
-    def test_install_and_discover_roundtrip(self):
-        config = ConfigSpace(vendor_id=0x1AF4, device_id=0x1041)
-        layout = VirtioPciLayout(bar=3, num_queues=2)
-        layout.install_capabilities(config)
-        found = discover_layout(config)
+    def test_install_and_discover_roundtrip(self, sim):
+        device, function, transport = discover(sim)
+        layout = device.layout
+        found = transport.windows
         assert set(found) == {
             VIRTIO_PCI_CAP_COMMON_CFG,
             VIRTIO_PCI_CAP_NOTIFY_CFG,
             VIRTIO_PCI_CAP_ISR_CFG,
             VIRTIO_PCI_CAP_DEVICE_CFG,
         }
-        assert found[VIRTIO_PCI_CAP_COMMON_CFG].offset == layout.common_offset
+        bar_address = function.bars[layout.bar].address
+        assert found[VIRTIO_PCI_CAP_COMMON_CFG].address == bar_address + layout.common_offset
         assert found[VIRTIO_PCI_CAP_NOTIFY_CFG].notify_off_multiplier == 4
 
     def test_notify_addresses_distinct_per_queue(self):
@@ -109,14 +141,13 @@ class TestLayout:
         layout = VirtioPciLayout(num_queues=2)
         assert layout.bar_size >= layout.notify_offset + layout.notify_length
 
-    def test_first_instance_wins(self):
-        config = ConfigSpace(vendor_id=0x1AF4, device_id=0x1041)
-        config.add_capability(
-            CAP_ID_VENDOR_SPECIFIC,
-            virtio_cap_body(VIRTIO_PCI_CAP_ISR_CFG, bar=1, offset=0x100, length=1),
+    def test_first_instance_wins(self, sim):
+        # The device lists its own ISR capability first; a second one,
+        # appended after it, points elsewhere in the same BAR.
+        second = virtio_cap_body(
+            VIRTIO_PCI_CAP_ISR_CFG, bar=VIRTIO_BAR_INDEX, offset=0x100, length=1
         )
-        config.add_capability(
-            CAP_ID_VENDOR_SPECIFIC,
-            virtio_cap_body(VIRTIO_PCI_CAP_ISR_CFG, bar=2, offset=0x200, length=1),
-        )
-        assert discover_layout(config)[VIRTIO_PCI_CAP_ISR_CFG].bar == 1
+        device, function, transport = discover(sim, extra_caps=[second])
+        bar_address = function.bars[device.layout.bar].address
+        isr = transport.windows[VIRTIO_PCI_CAP_ISR_CFG]
+        assert isr.address == bar_address + device.layout.isr_offset

@@ -60,7 +60,7 @@ class TestPrefetchModes:
         testbed = build_virtio_testbed(seed=53)
         rx_engine = testbed.device.engines[0]
         assert rx_engine.prefetch
-        assert rx_engine.free_chain_count > 0  # banked at boot
+        assert len(rx_engine._free_chains) > 0  # banked at boot
 
     def test_on_demand_mode_keeps_no_bank(self):
         testbed = build_virtio_testbed(
@@ -68,7 +68,7 @@ class TestPrefetchModes:
         )
         rx_engine = testbed.device.engines[0]
         assert not rx_engine.prefetch
-        assert rx_engine.free_chain_count == 0
+        assert len(rx_engine._free_chains) == 0
         # The data path still works (fetch happens at delivery time).
         assert echo(testbed, b"on-demand") == b"on-demand"
 

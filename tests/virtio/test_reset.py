@@ -65,9 +65,9 @@ class TestNeedsResetRecovery:
     def test_queues_drained_and_rebuilt(self, recovered):
         testbed, _ = recovered
         driver = testbed.driver
-        assert driver._pending_tx == {}
-        assert driver._tx_outstanding == 0
-        assert len(driver._rx_buffers) == RX_POOL_SIZE
+        assert driver._pending == [{}]
+        assert driver._tx_counts == [0]
+        assert [len(pool) for pool in driver._rx_pools] == [RX_POOL_SIZE]
         assert not driver._recovering
 
     def test_traffic_resumes_intact(self, recovered):
@@ -108,8 +108,9 @@ class TestResetMidTraffic:
         assert driver.requests_failed == 0
         # End-of-run steady state: nothing in flight beyond the final
         # chain parked completed-but-uncleaned in the used ring.
-        assert len(driver._pending_tx) <= 1
-        assert driver._tx_outstanding == len(driver._pending_tx)
+        (pending,) = driver._pending
+        assert len(pending) <= 1
+        assert driver._tx_counts == [len(pending)]
 
     def test_reset_storm_median_latency_stays_calibrated(self):
         """Resets inflate the tail, not the body: the median round trip

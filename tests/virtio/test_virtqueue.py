@@ -60,7 +60,7 @@ class TestVirtqueueAddresses:
                                    used_ring=0x3000)
         assert addrs.desc_addr(3) == 0x1000 + 48
         assert addrs.desc_addr(9) == 0x1000 + 16  # wraps at size
-        assert addrs.avail_idx_addr == 0x2002
+        assert addrs.avail_ring + 2 == 0x2002  # avail->idx
         assert addrs.avail_entry_addr(2) == 0x2000 + 4 + 4
         assert addrs.used_idx_addr == 0x3002
         assert addrs.used_entry_addr(1) == 0x3000 + 4 + 8
@@ -94,7 +94,7 @@ class TestDriverVirtqueue:
         vq, _ = make_vq()
         vq.add_buffer([(0x1000, 8)], [])
         assert vq.publish() == 1
-        raw = vq.buffer.read(vq.addresses.avail_idx_addr - vq.buffer.addr, 2)
+        raw = vq.buffer.read(vq.addresses.avail_ring + 2 - vq.buffer.addr, 2)
         assert int.from_bytes(raw, "little") == 1
 
     def test_descriptor_exhaustion(self):

@@ -13,7 +13,6 @@ from repro.workload.arrivals import (
 from repro.workload.sizes import (
     EmpiricalMix,
     FixedSize,
-    UniformSize,
     make_sizes,
 )
 
@@ -79,15 +78,7 @@ class TestArrivals:
 class TestSizes:
     def test_fixed(self):
         dist = FixedSize(256)
-        assert dist.sample(rng()) == 256
         assert np.all(dist.sample_many(rng(), 50) == 256)
-        assert dist.mean_bytes == 256.0
-
-    def test_uniform_in_range(self):
-        dist = UniformSize(64, 128)
-        samples = dist.sample_many(rng(), 1000)
-        assert samples.min() >= 64 and samples.max() <= 128
-        assert 64 <= dist.sample(rng()) <= 128
 
     def test_empirical_mix_draws_only_points(self):
         dist = EmpiricalMix((64, 1024), weights=(3.0, 1.0))
@@ -95,7 +86,6 @@ class TestSizes:
         assert set(np.unique(samples)) == {64, 1024}
         # 3:1 weighting: small payloads dominate.
         assert (samples == 64).sum() > (samples == 1024).sum()
-        assert dist.mean_bytes == pytest.approx(0.75 * 64 + 0.25 * 1024)
 
     def test_default_mix_is_paper_sweep(self):
         from repro.core.calibration import PAPER_PAYLOAD_SIZES
@@ -108,8 +98,6 @@ class TestSizes:
             FixedSize(4)  # below the sequence-stamp minimum
         with pytest.raises(ValueError):
             FixedSize(100_000)
-        with pytest.raises(ValueError):
-            UniformSize(256, 64)
         with pytest.raises(ValueError):
             EmpiricalMix((64,), weights=(1.0, 2.0))
         with pytest.raises(ValueError):
